@@ -216,6 +216,9 @@ func numel(shape []int) (int, error) {
 		if d <= 0 {
 			return 0, fmt.Errorf("%w: dimension %d", ErrShape, d)
 		}
+		if n > math.MaxInt/d {
+			return 0, fmt.Errorf("%w: element count of %v overflows", ErrShape, shape)
+		}
 		n *= d
 	}
 	return n, nil

@@ -204,6 +204,15 @@ func TestMarshalRoundTripAndExpansion(t *testing.T) {
 	if _, err := ev.Unmarshal(wire[:len(wire)-3]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated wire returned %v, want ErrCorrupt", err)
 	}
+	// A shape whose element count wraps int to 0 must not pass as a
+	// zero-slot ciphertext.
+	var forged []byte
+	for _, w := range []uint32{ciphertextMagic, 0, 0, 0, 100, 3, 1 << 22, 1 << 21, 1 << 21, 0} {
+		forged = binary.LittleEndian.AppendUint32(forged, w)
+	}
+	if _, err := ev.Unmarshal(forged); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("overflowing shape returned %v, want ErrCorrupt", err)
+	}
 }
 
 // TestKeyMismatchAndSecretKeySeal: decrypting under the wrong key is a
