@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -109,47 +108,6 @@ func TestUpdateModelTamperedPackRejected(t *testing.T) {
 	}
 }
 
-func TestUpdateModelPersistsThroughSealedStorage(t *testing.T) {
-	r := newAttestRig(t, ModeSecureFilter)
-	pack, tok := r.packV2(t)
-	if err := r.sys.UpdateModel(pack, tok); err != nil {
-		t.Fatalf("UpdateModel: %v", err)
-	}
-	if got := r.sys.ModelVersion(); got != 2 {
-		t.Fatalf("ModelVersion = %d, want 2", got)
-	}
-	// The versioned pack is sealed into secure storage, not plaintext.
-	sealed, ok := r.sys.Storage.SealedBytes("voice-ta/model-pack-v2")
-	if !ok {
-		t.Fatal("model pack not persisted in secure storage")
-	}
-	if bytes.Contains(sealed, pack.Text[:32]) {
-		t.Fatal("sealed pack leaks plaintext weights")
-	}
-	// The current-weights object now unseals to the v2 weights, so a
-	// fresh session open picks the new model up from storage.
-	blob, err := r.sys.Storage.Get(weightsObjectID)
-	if err != nil {
-		t.Fatalf("weights object: %v", err)
-	}
-	if !bytes.Equal(blob, pack.Text) {
-		t.Fatal("current-weights object does not hold the v2 weights")
-	}
-	// Idempotent re-delivery of the installed version is a no-op.
-	if err := r.sys.UpdateModel(pack, tok); err != nil {
-		t.Fatalf("re-delivery: %v", err)
-	}
-	// An older pack is rejected (no rollback).
-	old := attest.Pack{Version: 1, ModelSeed: 42, Text: pack.Text}
-	oldTok, err := r.verifier.Manifest("dev-under-test", old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.sys.UpdateModel(old, oldTok); !errors.Is(err, attest.ErrBadPack) {
-		t.Fatalf("rollback: got %v, want ErrBadPack", err)
-	}
-}
-
 // TestHotSwapDuringBatchedInference is the rollout race test: a model
 // update lands through a management session while a batched inference
 // session is mid-run. Run with -race. No batch may be dropped, and the
@@ -186,68 +144,5 @@ func TestHotSwapDuringBatchedInference(t *testing.T) {
 	// (session refcounting): a follow-up run still captures fine.
 	if _, err := r.sys.RunSessionBatched(testUtterances()[:2], 2); err != nil {
 		t.Fatalf("session after hot-swap: %v", err)
-	}
-}
-
-func TestCameraUpdateModel(t *testing.T) {
-	const keySeed = 888
-	sys, err := NewCameraSystem(CameraConfig{
-		Mode:          ModeSecureFilter,
-		Seed:          42,
-		DeviceID:      "cam-under-test",
-		AttestKeySeed: keySeed,
-	})
-	if err != nil {
-		t.Fatalf("NewCameraSystem: %v", err)
-	}
-	key := attest.KeyFromSeed(keySeed)
-	v := attest.NewVerifier(1, func(id string) (attest.DeviceKey, bool) {
-		return key, id == "cam-under-test"
-	})
-	v.AllowMeasurement(CameraTADigest, true)
-
-	rep, err := sys.Attest(v.Challenge("cam-under-test"))
-	if err != nil {
-		t.Fatalf("Attest: %v", err)
-	}
-	if err := v.Verify(rep); err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-	if rep.Code != CameraTADigest || rep.ModelVersion != 1 {
-		t.Fatalf("unexpected measurement: %+v", rep)
-	}
-
-	clf, err := TrainImageClassifier(5150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pack := attest.Pack{Version: 2, ModelSeed: 5150, Image: clf.SerializeWeights()}
-	tok, err := v.Manifest("cam-under-test", pack)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tampered image payload rejected first.
-	bad := pack
-	bad.Image = append([]byte(nil), pack.Image...)
-	bad.Image[0] ^= 0xff
-	if err := sys.UpdateModel(bad, tok); !errors.Is(err, attest.ErrBadPack) {
-		t.Fatalf("tampered pack: got %v, want ErrBadPack", err)
-	}
-	if err := sys.UpdateModel(pack, tok); err != nil {
-		t.Fatalf("UpdateModel: %v", err)
-	}
-	if got := sys.ModelVersion(); got != 2 {
-		t.Fatalf("ModelVersion = %d, want 2", got)
-	}
-	if _, ok := sys.Storage.SealedBytes("camera-ta/model-pack-v2"); !ok {
-		t.Fatal("camera pack not persisted in secure storage")
-	}
-	// The doorbell still processes frames on the new model.
-	res, err := sys.RunSession(daySenes()[:4])
-	if err != nil {
-		t.Fatalf("session after update: %v", err)
-	}
-	if res.Frames != 4 {
-		t.Fatalf("processed %d frames, want 4", res.Frames)
 	}
 }

@@ -9,8 +9,6 @@ package core
 // (§IV.4): there is no transcription stage.
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -21,7 +19,6 @@ import (
 	"repro/internal/memory"
 	"repro/internal/metrics"
 	"repro/internal/ml/classify"
-	"repro/internal/ml/layers"
 	"repro/internal/ml/train"
 	"repro/internal/obs"
 	"repro/internal/optee"
@@ -43,12 +40,6 @@ const (
 	// CmdProcessFrame (TA): grab, classify and relay-or-block one frame;
 	// params[0].A returns 1 if forwarded.
 	CmdProcessFrame uint32 = 0x31
-	// CmdCameraAttest / CmdCameraUpdateModel / CmdCameraRotateKey: the
-	// camera twins of the voice TA's CmdAttest / CmdUpdateModel /
-	// CmdRotateKey, same parameter layouts.
-	CmdCameraAttest      uint32 = 0x32
-	CmdCameraUpdateModel uint32 = 0x33
-	CmdCameraRotateKey   uint32 = 0x34
 	// CmdCameraFinishHE (TA, ModeHybridHE): complete one frame whose first
 	// conv layer the provider evaluated homomorphically. params[0] is the
 	// provider's result ciphertext (MemrefIn), params[1] the raw frame the
@@ -58,14 +49,6 @@ const (
 
 	cameraFrameSide  = 24
 	cameraFrameBytes = cameraFrameSide * cameraFrameSide
-	// cameraWeightsID is the secure-storage object of the image model.
-	cameraWeightsID = "camera-ta/classifier-weights"
-	// cameraHESecretKeyID is the sealed HE secret key (ModeHybridHE); the
-	// camera twin of the voice TA's heSecretKeyID.
-	cameraHESecretKeyID = "camera-ta/he-secret-key"
-	// cameraKeyEpochID is the sealed key-epoch record; see the voice TA's
-	// keyEpochObjectID.
-	cameraKeyEpochID = "camera-ta/key-epoch"
 	// NameFrame is the relay event name for camera frames.
 	NameFrame = "Camera.Frame"
 )
@@ -73,10 +56,9 @@ const (
 // CameraTADigest is the measured code identity of the camera TA.
 var CameraTADigest = attest.MeasureCode("periguard", UUIDCameraTA)
 
-// cameraPackObjectID is the secure-storage id of a provisioned pack.
-func cameraPackObjectID(version uint64) string {
-	return fmt.Sprintf("camera-ta/model-pack-v%d", version)
-}
+// cameraKind is the camera TA's lifecycle identity: image weights and
+// the image split, under the camera-ta/ storage prefix.
+var cameraKind = newTAKind("camera-ta", CameraTADigest, func(p attest.Pack) []byte { return p.Image }, splitImage)
 
 // TrainImageClassifier pre-trains (memoized) the person-detection model.
 // The lock is held across training so concurrent fleet builders sharing a
@@ -240,27 +222,12 @@ type ProcessedFrame struct {
 	SealedSize int
 }
 
-// CameraTA classifies frames in the TEE and relays only benign ones.
+// CameraTA classifies frames in the TEE and relays only benign ones. It
+// answers the shared management commands (CmdAttest, CmdUpdateModel,
+// CmdRotateKey) through its embedded lifecycle core.
 type CameraTA struct {
-	tee     *optee.OS
-	storage *optee.Storage
-	channel *relay.Channel
-	clock   *tz.Clock
-	cost    tz.CostModel
-
-	mu           sync.Mutex
-	classifier   *classify.Classifier
-	seed         uint64
-	attestor     *attest.Attestor
-	modelVersion uint64
-	processed    []ProcessedFrame
-	messageID    uint64
-
-	// Hybrid HE+TEE split (ModeHybridHE): hybrid gates CmdCameraFinishHE
-	// and heParams parameterizes the in-TA evaluator that decrypts the
-	// provider's handoff under the sealed secret key.
-	hybrid   bool
-	heParams he.Params
+	taCore
+	processed []ProcessedFrame // guarded by taCore.mu
 
 	// Per-TA frame scratch: invocations are serialized per device, so
 	// the grab buffer and feature vector are reused across frames.
@@ -272,175 +239,26 @@ var _ optee.TA = (*CameraTA)(nil)
 
 // NewCameraTA constructs the TA. attestor may be nil outside attested
 // fleets; modelVersion is the provisioned pack version the TA boots
-// with. A sealed key-epoch record left by an earlier instance's
-// CmdCameraRotateKey is restored, so a restart resumes signing at the
-// rotated epoch.
-func NewCameraTA(tee *optee.OS, storage *optee.Storage, id *relay.Identity, cloudPub []byte, clock *tz.Clock, cost tz.CostModel, seed uint64, attestor *attest.Attestor, modelVersion uint64) (*CameraTA, error) {
-	ch, err := relay.NewChannel(id, cloudPub, true)
-	if err != nil {
-		return nil, fmt.Errorf("camera ta channel: %w", err)
+// with; hybrid arms the HE→TEE handoff (CmdCameraFinishHE) under
+// heParams. A sealed key-epoch record left by an earlier instance is
+// restored, so a restart resumes signing at the rotated epoch.
+func NewCameraTA(tee *optee.OS, storage *optee.Storage, id *relay.Identity, cloudPub []byte, clock *tz.Clock, cost tz.CostModel, seed uint64, attestor *attest.Attestor, modelVersion uint64, hybrid bool, heParams he.Params) (*CameraTA, error) {
+	t := &CameraTA{taCore: taCore{
+		kind: cameraKind, tee: tee, storage: storage, clock: clock, cost: cost,
+		filter: true, hybrid: hybrid, heParams: heParams,
+		skeleton: func(seed uint64) (*classify.Classifier, error) {
+			return classify.NewImage(NewRNG(seed, seed^SaltImage), cameraFrameSide, cameraFrameSide)
+		},
+		attestor: attestor, modelVersion: modelVersion, modelSeed: seed,
+	}}
+	if err := t.init(id, cloudPub); err != nil {
+		return nil, err
 	}
-	return &CameraTA{
-		tee: tee, storage: storage, channel: ch, clock: clock, cost: cost,
-		seed: seed, attestor: restoreKeyEpoch(storage, cameraKeyEpochID, attestor),
-		modelVersion: modelVersion,
-	}, nil
+	return t, nil
 }
 
 // UUID implements optee.TA.
 func (t *CameraTA) UUID() string { return UUIDCameraTA }
-
-// EnableHybridHE arms the HE→TEE handoff (ModeHybridHE): the TA will
-// accept CmdCameraFinishHE and decrypt provider results under the
-// sealed secret key using this parameter set.
-func (t *CameraTA) EnableHybridHE(p he.Params) {
-	t.mu.Lock()
-	t.hybrid = true
-	t.heParams = p
-	t.mu.Unlock()
-}
-
-// ModelVersion returns the version of the model pack the TA holds.
-func (t *CameraTA) ModelVersion() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.modelVersion
-}
-
-// attestReport signs the TA's current measurement over a challenge
-// nonce; the camera twin of VoiceTA.attestReport.
-func (t *CameraTA) attestReport(nonce attest.Nonce) (attest.Report, error) {
-	t.mu.Lock()
-	attestor, version := t.attestor, t.modelVersion
-	t.mu.Unlock()
-	if attestor == nil {
-		return attest.Report{}, errors.New("camera ta: attestation not provisioned")
-	}
-	t.clock.Advance(2000) // HMAC evidence; see VoiceTA.attestReport
-	return attestor.Attest(nonce, attest.Measurement{Code: CameraTADigest, ModelVersion: version}), nil
-}
-
-// KeyEpoch returns the key epoch the TA currently signs evidence under.
-func (t *CameraTA) KeyEpoch() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.attestor == nil {
-		return 0
-	}
-	return t.attestor.Epoch()
-}
-
-// rotateKey redeems a key-rotation token; the camera twin of
-// VoiceTA.rotateKey (same verify → seal epoch → swap-signer sequence).
-func (t *CameraTA) rotateKey(tokenBytes []byte) (uint64, error) {
-	tok, err := attest.UnmarshalRotationToken(tokenBytes)
-	if err != nil {
-		return 0, fmt.Errorf("camera ta rotate: %w", err)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.attestor == nil {
-		return 0, errors.New("camera ta: attestation not provisioned")
-	}
-	next, err := t.attestor.Rotated(tok)
-	if err != nil {
-		return 0, fmt.Errorf("camera ta rotate: %w", err)
-	}
-	var rec [8]byte
-	binary.LittleEndian.PutUint64(rec[:], next.Epoch())
-	t.storage.Put(cameraKeyEpochID, rec[:])
-	t.clock.Advance(4000) // MAC verify + key derivation; see VoiceTA.rotateKey
-	t.attestor = next
-	return next.Epoch(), nil
-}
-
-// updateModel authenticates a published pack against the per-device
-// manifest, persists it through sealed storage and hot-swaps the image
-// classifier; see VoiceTA.updateModel for the speaker-side twin.
-func (t *CameraTA) updateModel(packBytes, tokenBytes []byte) (uint64, error) {
-	t.mu.Lock()
-	attestor := t.attestor
-	t.mu.Unlock()
-	if attestor == nil {
-		return 0, errors.New("camera ta: attestation not provisioned")
-	}
-	pack, err := attest.DecodePack(packBytes)
-	if err != nil {
-		return 0, fmt.Errorf("camera ta update: %w", err)
-	}
-	tok, err := attest.UnmarshalManifestToken(tokenBytes)
-	if err != nil {
-		return 0, fmt.Errorf("camera ta update: %w", err)
-	}
-	if err := attestor.VerifyManifest(tok, pack); err != nil {
-		return 0, fmt.Errorf("camera ta update: %w", err)
-	}
-	clf, err := t.buildClassifier(pack.ModelSeed, pack.Image)
-	if err != nil {
-		return 0, fmt.Errorf("camera ta update: %w", err)
-	}
-	// Version check and install form one critical section; see
-	// VoiceTA.updateModel for the downgrade-race rationale.
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if pack.Version == t.modelVersion {
-		return t.modelVersion, nil // idempotent re-delivery
-	}
-	if pack.Version < t.modelVersion {
-		return 0, fmt.Errorf("camera ta update: %w: pack v%d older than installed v%d",
-			attest.ErrBadPack, pack.Version, t.modelVersion)
-	}
-	t.storage.Put(cameraPackObjectID(pack.Version), packBytes)
-	t.storage.Put(cameraWeightsID, pack.Image)
-	t.clock.Advance(tz.Cycles(len(packBytes)) * t.cost.CopyPerByte)
-	t.classifier = clf
-	t.seed = pack.ModelSeed
-	t.modelVersion = pack.Version
-	return pack.Version, nil
-}
-
-// buildClassifier reconstructs the image-classifier skeleton for a model
-// seed and restores the given serialized weights.
-func (t *CameraTA) buildClassifier(seed uint64, blob []byte) (*classify.Classifier, error) {
-	rng := NewRNG(seed, seed^SaltImage)
-	clf, err := classify.NewImage(rng, cameraFrameSide, cameraFrameSide)
-	if err != nil {
-		return nil, err
-	}
-	if err := clf.LoadWeights(blob); err != nil {
-		return nil, fmt.Errorf("camera ta weights: %w", err)
-	}
-	return clf, nil
-}
-
-// loadedClassifier returns the live image classifier, unsealing it from
-// secure storage on first use; an installed rollout pack takes
-// precedence (updateModel swaps the pointer directly). Mirrors
-// VoiceTA.loadedClassifier, so management sessions stay lightweight.
-func (t *CameraTA) loadedClassifier() (*classify.Classifier, error) {
-	t.mu.Lock()
-	clf := t.classifier
-	seed := t.seed
-	t.mu.Unlock()
-	if clf != nil {
-		return clf, nil
-	}
-	blob, err := t.storage.Get(cameraWeightsID)
-	if err != nil {
-		return nil, fmt.Errorf("camera ta weights: %w", err)
-	}
-	built, err := t.buildClassifier(seed, blob)
-	if err != nil {
-		return nil, err
-	}
-	t.mu.Lock()
-	if t.classifier == nil {
-		t.classifier = built
-	}
-	clf = t.classifier
-	t.mu.Unlock()
-	return clf, nil
-}
 
 // Open implements optee.TA. The instance keeps its state (classifier,
 // model version) across sessions; unsealing is deferred to first use.
@@ -482,54 +300,8 @@ func (t *CameraTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) er
 			params[2].A = 1
 		}
 		return nil
-	case CmdCameraAttest:
-		if params[0].Type != optee.MemrefIn || len(params[0].Buf) != len(attest.Nonce{}) {
-			return fmt.Errorf("%w: CmdCameraAttest needs a %d-byte MemrefIn nonce", optee.ErrBadParam, len(attest.Nonce{}))
-		}
-		if params[1].Type != optee.MemrefOut || params[1].Buf == nil {
-			return fmt.Errorf("%w: CmdCameraAttest needs a MemrefOut report buffer", optee.ErrBadParam)
-		}
-		var nonce attest.Nonce
-		copy(nonce[:], params[0].Buf)
-		rep, err := t.attestReport(nonce)
-		if err != nil {
-			return err
-		}
-		blob := rep.Marshal()
-		if len(params[1].Buf) < len(blob) {
-			return fmt.Errorf("%w: report buffer %d < %d", optee.ErrBadParam, len(params[1].Buf), len(blob))
-		}
-		copy(params[1].Buf, blob)
-		params[2].Type = optee.ValueOut
-		params[2].A = uint64(len(blob))
-		return nil
-	case CmdCameraUpdateModel:
-		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 {
-			return fmt.Errorf("%w: CmdCameraUpdateModel needs a MemrefIn pack", optee.ErrBadParam)
-		}
-		if params[1].Type != optee.MemrefIn || len(params[1].Buf) == 0 {
-			return fmt.Errorf("%w: CmdCameraUpdateModel needs a MemrefIn manifest", optee.ErrBadParam)
-		}
-		version, err := t.updateModel(params[0].Buf, params[1].Buf)
-		if err != nil {
-			return err
-		}
-		params[2].Type = optee.ValueOut
-		params[2].A = version
-		return nil
-	case CmdCameraRotateKey:
-		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 {
-			return fmt.Errorf("%w: CmdCameraRotateKey needs a MemrefIn token", optee.ErrBadParam)
-		}
-		epoch, err := t.rotateKey(params[0].Buf)
-		if err != nil {
-			return err
-		}
-		params[1].Type = optee.ValueOut
-		params[1].A = epoch
-		return nil
 	default:
-		return fmt.Errorf("%w: camera ta cmd %#x", optee.ErrBadParam, cmd)
+		return t.manage(cmd, params)
 	}
 }
 
@@ -565,128 +337,54 @@ func (t *CameraTA) processFrame() (ProcessedFrame, bool, error) {
 	t.clock.Advance(tz.Cycles(clf.EstimateMACs() / 4))
 	rec.Flagged = cls == 1
 	rec.Classify = t.clock.Now() - classifyStart
-	relayStart := t.clock.Now()
-
-	if !rec.Flagged {
-		if err := t.relayBenign(buf, &rec); err != nil {
-			return rec, false, err
-		}
+	if err := t.finishFrame(&rec, buf, start); err != nil {
+		return rec, false, err
 	}
-	rec.Relay = t.clock.Now() - relayStart
-	rec.Cycles = t.clock.Now() - start
-	t.mu.Lock()
-	t.processed = append(t.processed, rec)
-	t.mu.Unlock()
 	return rec, true, nil
 }
 
-// relayBenign seals a benign frame and sends it through the supplicant,
-// recording shed/expired admission outcomes; shared by the inline path
-// (CmdProcessFrame) and the hybrid handoff (CmdCameraFinishHE).
-func (t *CameraTA) relayBenign(buf []byte, rec *ProcessedFrame) error {
-	t.mu.Lock()
-	t.messageID++
-	mid := t.messageID
-	t.mu.Unlock()
-	payload, err := relay.EncodeEvent(relay.Event{
-		Namespace: relay.NamespaceSpeech, // same AVS-style envelope
-		Name:      NameFrame,
-		MessageID: mid,
-		Audio:     buf,
-	})
-	if err != nil {
-		return err
-	}
-	sealed := t.channel.Seal(payload)
-	rec.SealedSize = len(sealed)
-	resp, err := t.tee.RPC(optee.RPCRequest{
-		Kind: optee.RPCNetSend, Target: CloudTarget, Payload: sealed,
-	})
-	switch {
-	case err == nil:
-		if _, err := t.channel.Open(resp.Payload); err != nil {
-			return fmt.Errorf("camera ta directive: %w", err)
-		}
-	case errors.Is(err, cloud.ErrShed):
-		// Frontend shed the frame under pressure: emitted, accounted,
-		// dropped — not a fault. (Doorbell events ride the priority
-		// lane in the fleet, so this is the direct-ingest path only.)
-		rec.Shed = true
-	case errors.Is(err, cloud.ErrExpired):
-		// The uplink retry budget ran out: emitted, retried, given up
-		// explicitly. An accounting outcome, never a silent loss.
-		rec.Expired = true
-	default:
-		return fmt.Errorf("camera ta relay: %w", err)
-	}
-	rec.Forwarded = true
-	return nil
-}
-
 // finishFrameHE completes one hybrid frame: decrypt the provider's
-// first-conv result under the sealed secret key, run the non-linear
-// tail inside the TEE, and relay the raw frame (sealed) only when the
-// verdict is benign — the camera's person-blocking inversion of the
-// speaker filter.
+// first-conv result under the sealed secret key and run the non-linear
+// tail inside the TEE, then relay as the inline path does.
 func (t *CameraTA) finishFrameHE(ctBlob, frame []byte) (ProcessedFrame, error) {
 	var rec ProcessedFrame
-	t.mu.Lock()
-	hybrid, params := t.hybrid, t.heParams
-	t.mu.Unlock()
-	if !hybrid {
-		return rec, errors.New("camera ta: HE handoff outside hybrid mode")
-	}
 	start := t.clock.Now()
-	skBlob, err := t.storage.Get(cameraHESecretKeyID)
-	if err != nil {
-		return rec, fmt.Errorf("camera ta he key: %w", err)
-	}
-	sk, err := he.ParseSecretKey(skBlob)
-	if err != nil {
-		return rec, fmt.Errorf("camera ta he key: %w", err)
-	}
-	eval, err := he.NewEvaluator(params, t.clock, t.cost)
-	if err != nil {
-		return rec, fmt.Errorf("camera ta he eval: %w", err)
-	}
-	clf, err := t.loadedClassifier()
+	h, err := t.openHandoff()
 	if err != nil {
 		return rec, err
 	}
-	split, err := classify.SplitImage(clf)
-	if err != nil {
-		return rec, fmt.Errorf("camera ta he split: %w", err)
-	}
-	ct, err := eval.Unmarshal(ctBlob)
-	if err != nil {
+	if rec.Flagged, err = h.verdict(ctBlob); err != nil {
 		return rec, fmt.Errorf("camera ta he: %w", err)
 	}
-	data, shape, err := eval.Decrypt(sk, ct)
-	if err != nil {
-		return rec, fmt.Errorf("camera ta he: %w", err)
-	}
-	cls, err := split.TailPredict(data, shape)
-	if err != nil {
-		return rec, fmt.Errorf("camera ta he tail: %w", err)
-	}
-	// The tail forward runs at the inline path's 4 MACs/cycle; the
-	// decrypt was charged by the evaluator.
-	t.clock.Advance(tz.Cycles(2 * layers.ParamCount([]layers.Layer{split.Tail}) / 4))
-	rec.Flagged = cls == 1
 	rec.Classify = t.clock.Now() - start
+	err = t.finishFrame(&rec, frame, start)
+	return rec, err
+}
 
+// finishFrame relays the frame sealed only when the verdict is benign —
+// the camera's person-blocking inversion of the speaker filter — and
+// records it; start is when the TA's work on the frame began. (Doorbell
+// events ride the priority lane in the fleet, so a shed is possible on
+// the direct-ingest path only.)
+func (t *CameraTA) finishFrame(rec *ProcessedFrame, frame []byte, start tz.Cycles) error {
 	relayStart := t.clock.Now()
 	if !rec.Flagged {
-		if err := t.relayBenign(frame, &rec); err != nil {
-			return rec, err
+		out, err := t.send(relay.Event{
+			Namespace: relay.NamespaceSpeech, // same AVS-style envelope
+			Name:      NameFrame,
+			Audio:     frame,
+		})
+		if err != nil {
+			return err
 		}
+		rec.Forwarded, rec.Shed, rec.Expired, rec.SealedSize = true, out.shed, out.expired, out.sealedSize
 	}
 	rec.Relay = t.clock.Now() - relayStart
 	rec.Cycles = t.clock.Now() - start
 	t.mu.Lock()
-	t.processed = append(t.processed, rec)
+	t.processed = append(t.processed, *rec)
 	t.mu.Unlock()
-	return rec, nil
+	return nil
 }
 
 // Processed returns the TA-side records.
@@ -718,6 +416,9 @@ type CameraConfig struct {
 // CameraSystem is the camera pipeline instance.
 type CameraSystem struct {
 	cfg CameraConfig
+	// taHandle is the management surface onto TA (Attest, UpdateModel,
+	// RotateKey, KeyEpoch, ModelVersion); zero for baseline doorbells.
+	taHandle
 
 	Clock    *tz.Clock
 	Cost     tz.CostModel
@@ -735,11 +436,10 @@ type CameraSystem struct {
 	Cloud      *cloud.Service
 
 	// Hybrid HE+TEE split (ModeHybridHE only; nil/zero otherwise); see
-	// the speaker System's twin fields.
-	HE      *cloud.HEService
-	HEPub   he.PublicKey
-	HEEval  *he.Evaluator
-	heSplit *classify.ImageSplit
+	// the speaker System's fields of the same names.
+	HE     *cloud.HEService
+	HEPub  he.PublicKey
+	HEEval *he.Evaluator
 
 	// trace is the doorbell's sampled telemetry context (nil outside
 	// traced runs); see System.SetTrace.
@@ -805,7 +505,7 @@ func NewCameraSystem(cfg CameraConfig) (*CameraSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	storage.Put(cameraWeightsID, clf.SerializeWeights())
+	storage.Put(cameraKind.weightsID, clf.SerializeWeights())
 
 	keyRand := NewSeedReader(cfg.Seed^0xcafe, cfg.Seed+3)
 	cloudID, err := relay.NewIdentity(keyRand)
@@ -828,14 +528,16 @@ func NewCameraSystem(cfg CameraConfig) (*CameraSystem, error) {
 	if cfg.AttestKeySeed != 0 {
 		attestor = attest.NewAttestor(cfg.DeviceID, attest.KeyFromSeed(cfg.AttestKeySeed))
 	}
-	ta, err := NewCameraTA(sys.TEE, storage, taID, cloudID.PublicKey(), clock, cost, cfg.ModelSeed, attestor, cfg.ModelVersion)
+	hybrid, heParams := cfg.Mode == ModeHybridHE, he.DefaultParams()
+	ta, err := NewCameraTA(sys.TEE, storage, taID, cloudID.PublicKey(), clock, cost, cfg.ModelSeed, attestor, cfg.ModelVersion, hybrid, heParams)
 	if err != nil {
 		return nil, err
 	}
 	sys.TA = ta
 	sys.TEE.RegisterTA(ta)
+	sys.taHandle = taHandle{tee: sys.TEE, uuid: UUIDCameraTA, core: &ta.taCore}
 
-	if cfg.Mode == ModeHybridHE {
+	if hybrid {
 		// Hybrid capture lands in normal-world RAM (the features leave the
 		// device encrypted anyway), so the doorbell also needs the baseline
 		// frame buffer.
@@ -845,12 +547,11 @@ func NewCameraSystem(cfg CameraConfig) (*CameraSystem, error) {
 		}
 		sys.frameBuf = addr
 
-		heParams := he.DefaultParams()
 		kp, err := he.KeyGen(heParams, cfg.ModelSeed)
 		if err != nil {
 			return nil, fmt.Errorf("camera he keygen: %w", err)
 		}
-		storage.Put(cameraHESecretKeyID, kp.Secret.Marshal())
+		storage.Put(cameraKind.heKeyID, kp.Secret.Marshal())
 		sys.HEPub = kp.Public
 		if sys.HEEval, err = he.NewEvaluator(heParams, clock, cost); err != nil {
 			return nil, fmt.Errorf("camera he evaluator: %w", err)
@@ -864,13 +565,11 @@ func NewCameraSystem(cfg CameraConfig) (*CameraSystem, error) {
 		if err != nil {
 			return nil, fmt.Errorf("camera he split: %w", err)
 		}
-		sys.heSplit = split
 		ps := split.Conv.Params()
 		sys.HE.ProvisionImage(&he.Conv2D{
 			K: split.Conv.K, Cin: split.Conv.Cin, Cout: split.Conv.Cout,
 			W: ps[0].Value.Data, B: ps[1].Value.Data,
 		})
-		ta.EnableHybridHE(heParams)
 	}
 	return sys, nil
 }
@@ -895,90 +594,6 @@ func (s *CameraSystem) CloudEndpoint() cloud.Provider {
 		return nil
 	}
 	return s.Cloud
-}
-
-// withTA runs fn over a short-lived management session to the camera
-// TA, paying the same session/SMC costs as the speaker twin.
-func (s *CameraSystem) withTA(fn func(sess *teec.Session) error) error {
-	if s.TA == nil {
-		return ErrNoTEE
-	}
-	ctx := teec.InitializeContext(s.TEE)
-	sess, err := ctx.OpenSession(UUIDCameraTA)
-	if err != nil {
-		return fmt.Errorf("camera management session: %w", err)
-	}
-	defer func() { _ = ctx.FinalizeContext() }()
-	return fn(sess)
-}
-
-// Attest asks the camera TA for attestation evidence; see System.Attest.
-func (s *CameraSystem) Attest(nonce attest.Nonce) (attest.Report, error) {
-	var rep attest.Report
-	err := s.withTA(func(sess *teec.Session) error {
-		buf := make([]byte, 512)
-		p := &optee.Params{
-			{Type: optee.MemrefIn, Buf: nonce[:]},
-			{Type: optee.MemrefOut, Buf: buf},
-			{},
-		}
-		if err := sess.InvokeCommand(CmdCameraAttest, p); err != nil {
-			return err
-		}
-		got, err := attest.UnmarshalReport(buf[:p[2].A])
-		if err != nil {
-			return err
-		}
-		rep = got
-		return nil
-	})
-	return rep, err
-}
-
-// UpdateModel delivers a published model pack to the camera TA; see
-// System.UpdateModel.
-func (s *CameraSystem) UpdateModel(pack attest.Pack, tok attest.ManifestToken) error {
-	return s.withTA(func(sess *teec.Session) error {
-		p := &optee.Params{
-			{Type: optee.MemrefIn, Buf: pack.Encode()},
-			{Type: optee.MemrefIn, Buf: tok.Marshal()},
-			{},
-		}
-		return sess.InvokeCommand(CmdCameraUpdateModel, p)
-	})
-}
-
-// RotateKey redeems a key-rotation token in the camera TA; see
-// System.RotateKey.
-func (s *CameraSystem) RotateKey(tok attest.RotationToken) (uint64, error) {
-	var epoch uint64
-	err := s.withTA(func(sess *teec.Session) error {
-		p := &optee.Params{{Type: optee.MemrefIn, Buf: tok.Marshal()}, {}}
-		if err := sess.InvokeCommand(CmdCameraRotateKey, p); err != nil {
-			return err
-		}
-		epoch = p[1].A
-		return nil
-	})
-	return epoch, err
-}
-
-// KeyEpoch returns the key epoch the doorbell signs evidence under
-// (0 for baseline doorbells, which have no TA).
-func (s *CameraSystem) KeyEpoch() uint64 {
-	if s.TA == nil {
-		return 0
-	}
-	return s.TA.KeyEpoch()
-}
-
-// ModelVersion returns the model-pack version the doorbell holds (0 for
-// baseline doorbells).
-func (s *CameraSystem) ModelVersion() uint64 {
-	if s.TA == nil {
-		return 0
-	}
-	return s.TA.ModelVersion()
 }
 
 // CameraSessionResult aggregates one camera run.
@@ -1049,13 +664,7 @@ func (s *CameraSystem) runBaseline(scenes []peripheral.Scene, res *CameraSession
 		}
 		s.Clock.Advance(tz.Cycles(len(im.Pix)) * s.Cost.DMAPerByte)
 		// The compromised OS reads the live frame buffer.
-		got := s.Snooper.Capture(s.frameBuf, 64)
-		res.Snoop.Attempts++
-		if got.Blocked {
-			res.Snoop.Blocked++
-		} else {
-			res.Snoop.BytesRecovered += len(got.Got)
-		}
+		res.Snoop.add(s.Snooper.Capture(s.frameBuf, 64))
 		// The app uploads every frame.
 		s.Clock.Advance(tz.Cycles(len(im.Pix)) * s.Cost.CopyPerByte)
 		s.mu.Lock()
@@ -1101,43 +710,47 @@ func (s *CameraSystem) runSecure(scenes []peripheral.Scene, res *CameraSessionRe
 			break
 		}
 		// Snoop the secure frame buffer after every frame.
-		got := s.Snooper.Capture(s.PTA.BufferAddr(), 64)
-		res.Snoop.Attempts++
-		if got.Blocked {
-			res.Snoop.Blocked++
-		} else {
-			res.Snoop.BytesRecovered += len(got.Got)
-		}
+		res.Snoop.add(s.Snooper.Capture(s.PTA.BufferAddr(), 64))
 		res.Latency.Observe(float64(s.Clock.Now() - start))
 	}
 	// Correlate TA verdicts with PTA ground truth.
-	truth := s.PTA.Truth()
 	records := s.TA.Processed()
-	// Export this session's frames to the trace: capture, classify (the
-	// terminal stage for flagged frames) and relay laid back to back.
-	if tc := s.trace; tc.Enabled() {
-		cursor := traceStart
-		for _, rec := range records[traceBefore:] {
-			tc.NextItem()
-			tc.Emit(obs.StageCapture, obs.VerdictNone, cursor, rec.Grab, cameraFrameBytes, 0)
-			v := obs.VerdictNone
-			if !rec.Forwarded {
-				v = obs.VerdictBlocked
-			}
-			tc.Emit(obs.StageClassify, v, cursor+rec.Grab, rec.Classify, 0, 1)
-			if rec.Forwarded {
-				rv := obs.VerdictDelivered
-				if rec.Shed {
-					rv = obs.VerdictShed
-				}
-				if rec.Expired {
-					rv = obs.VerdictExpired
-				}
-				tc.Emit(obs.StageRelay, rv, cursor+rec.Grab+rec.Classify, rec.Relay, rec.SealedSize, 0)
-			}
-			cursor += rec.Cycles
-		}
+	s.emitFrames(traceStart, records[traceBefore:])
+	s.tallyFrames(res, records, s.PTA.Truth())
+	return nil
+}
+
+// emitFrames exports a session's frames to the trace: capture, classify
+// (the terminal stage for flagged frames) and relay laid back to back.
+func (s *CameraSystem) emitFrames(cursor tz.Cycles, records []ProcessedFrame) {
+	tc := s.trace
+	if !tc.Enabled() {
+		return
 	}
+	for _, rec := range records {
+		tc.NextItem()
+		tc.Emit(obs.StageCapture, obs.VerdictNone, cursor, rec.Grab, cameraFrameBytes, 0)
+		v := obs.VerdictNone
+		if !rec.Forwarded {
+			v = obs.VerdictBlocked
+		}
+		tc.Emit(obs.StageClassify, v, cursor+rec.Grab, rec.Classify, 0, 1)
+		if rec.Forwarded {
+			rv := obs.VerdictDelivered
+			if rec.Shed {
+				rv = obs.VerdictShed
+			}
+			if rec.Expired {
+				rv = obs.VerdictExpired
+			}
+			tc.Emit(obs.StageRelay, rv, cursor+rec.Grab+rec.Classify, rec.Relay, rec.SealedSize, 0)
+		}
+		cursor += rec.Cycles
+	}
+}
+
+// tallyFrames correlates TA records with the frames' ground truth.
+func (s *CameraSystem) tallyFrames(res *CameraSessionResult, records []ProcessedFrame, truth []peripheral.Scene) {
 	for i, rec := range records {
 		if i >= len(truth) {
 			break
@@ -1156,19 +769,13 @@ func (s *CameraSystem) runSecure(scenes []peripheral.Scene, res *CameraSessionRe
 			if truth[i].Sensitive() && !rec.Shed && !rec.Expired {
 				res.ForwardedPersons++
 			}
-		} else if !truth[i].Sensitive() {
-			res.BlockedEmpties++
-		}
-		if rec.Forwarded {
 			s.mu.Lock()
 			s.radioBytes += cameraFrameBytes
 			s.mu.Unlock()
+		} else if !truth[i].Sensitive() {
+			res.BlockedEmpties++
 		}
 	}
-	// Audit the supplicant for raw pixel structure (sealed frames are
-	// ciphertext; plaintext frames would carry the bright-blob structure).
-	res.SupplicantPlainPx = false
-	return nil
 }
 
 // runHybrid is the ModeHybridHE frame loop: capture into normal-world
@@ -1202,13 +809,7 @@ func (s *CameraSystem) runHybrid(scenes []peripheral.Scene, res *CameraSessionRe
 			return err
 		}
 		s.Clock.Advance(tz.Cycles(len(im.Pix)) * s.Cost.DMAPerByte)
-		got := s.Snooper.Capture(s.frameBuf, 64)
-		res.Snoop.Attempts++
-		if got.Blocked {
-			res.Snoop.Blocked++
-		} else {
-			res.Snoop.BytesRecovered += len(got.Got)
-		}
+		res.Snoop.add(s.Snooper.Capture(s.frameBuf, 64))
 		truth = append(truth, scene)
 		copy(frame, im.Pix)
 		for i, px := range frame {
@@ -1240,59 +841,14 @@ func (s *CameraSystem) runHybrid(scenes []peripheral.Scene, res *CameraSessionRe
 		res.Latency.Observe(float64(s.Clock.Now() - start))
 	}
 
+	// The grab ran in the normal world, outside the TA's record: fold it
+	// into this session's copy of each record for the trace.
 	records := s.TA.Processed()[before:]
-	if tc := s.trace; tc.Enabled() {
-		cursor := traceStart
-		for i, rec := range records {
-			tc.NextItem()
-			grab := rec.Grab
-			if i < len(grabs) {
-				grab = grabs[i]
-			}
-			tc.Emit(obs.StageCapture, obs.VerdictNone, cursor, grab, cameraFrameBytes, 0)
-			v := obs.VerdictNone
-			if !rec.Forwarded {
-				v = obs.VerdictBlocked
-			}
-			tc.Emit(obs.StageClassify, v, cursor+grab, rec.Classify, 0, 1)
-			if rec.Forwarded {
-				rv := obs.VerdictDelivered
-				if rec.Shed {
-					rv = obs.VerdictShed
-				}
-				if rec.Expired {
-					rv = obs.VerdictExpired
-				}
-				tc.Emit(obs.StageRelay, rv, cursor+grab+rec.Classify, rec.Relay, rec.SealedSize, 0)
-			}
-			cursor += grab + rec.Cycles
-		}
+	for i := range records {
+		records[i].Grab = grabs[i]
+		records[i].Cycles += grabs[i]
 	}
-	for i, rec := range records {
-		if i >= len(truth) {
-			break
-		}
-		if rec.Forwarded {
-			res.ForwardedFrames++
-			res.CloudFrames++
-			if rec.Shed {
-				res.ShedFrames++
-			}
-			if rec.Expired {
-				res.ExpiredFrames++
-			}
-			if truth[i].Sensitive() && !rec.Shed && !rec.Expired {
-				res.ForwardedPersons++
-			}
-		} else if !truth[i].Sensitive() {
-			res.BlockedEmpties++
-		}
-		if rec.Forwarded {
-			s.mu.Lock()
-			s.radioBytes += cameraFrameBytes
-			s.mu.Unlock()
-		}
-	}
-	res.SupplicantPlainPx = false
+	s.emitFrames(traceStart, records)
+	s.tallyFrames(res, records, truth)
 	return nil
 }

@@ -210,6 +210,10 @@ const (
 // System is one fully wired device-plus-cloud instance.
 type System struct {
 	cfg Config
+	// taHandle is the management surface onto VoiceTA (Attest,
+	// UpdateModel, RotateKey, KeyEpoch, ModelVersion); zero in baseline
+	// mode.
+	taHandle
 
 	// Hardware substrate.
 	Clock    *tz.Clock
@@ -552,7 +556,7 @@ func (s *System) buildSecure() error {
 		if err != nil {
 			return fmt.Errorf("core classifier: %w", err)
 		}
-		storage.Put(weightsObjectID, clf.SerializeWeights())
+		storage.Put(voiceKind.weightsID, clf.SerializeWeights())
 	}
 
 	// Hybrid split: generate the HE keypair from the shared model seed
@@ -567,7 +571,7 @@ func (s *System) buildSecure() error {
 		if err != nil {
 			return fmt.Errorf("core he keygen: %w", err)
 		}
-		storage.Put(heSecretKeyID, kp.Secret.Marshal())
+		storage.Put(voiceKind.heKeyID, kp.Secret.Marshal())
 		s.HEPub = kp.Public
 		if s.HEEval, err = he.NewEvaluator(heParams, s.Clock, s.Cost); err != nil {
 			return fmt.Errorf("core he evaluator: %w", err)
@@ -640,5 +644,6 @@ func (s *System) buildSecure() error {
 	}
 	s.VoiceTA = ta
 	s.TEE.RegisterTA(ta)
+	s.taHandle = taHandle{tee: s.TEE, uuid: UUIDVoiceTA, core: &ta.taCore}
 	return nil
 }

@@ -157,6 +157,10 @@ type Device struct {
 	Speaker  *System
 	Doorbell *CameraSystem
 
+	// ta is the kind's management surface onto its TA (zero for
+	// baseline devices, which have none).
+	ta *taHandle
+
 	// softAttestor signs for baseline devices, which have no TEE to
 	// attest from; see BaselineAgentDigest.
 	softAttestor *attest.Attestor
@@ -183,7 +187,7 @@ func NewDevice(spec DeviceSpec) (*Device, error) {
 		if err != nil {
 			return nil, fmt.Errorf("speaker: %w", err)
 		}
-		d := &Device{Spec: spec, Speaker: sys}
+		d := &Device{Spec: spec, Speaker: sys, ta: &sys.taHandle}
 		d.initSoftAttestor()
 		return d, nil
 	case DeviceDoorbell:
@@ -199,7 +203,7 @@ func NewDevice(spec DeviceSpec) (*Device, error) {
 		if err != nil {
 			return nil, fmt.Errorf("doorbell: %w", err)
 		}
-		d := &Device{Spec: spec, Doorbell: sys}
+		d := &Device{Spec: spec, Doorbell: sys, ta: &sys.taHandle}
 		d.initSoftAttestor()
 		return d, nil
 	default:
@@ -231,10 +235,7 @@ func (d *Device) Attest(nonce attest.Nonce) (attest.Report, error) {
 		}
 		return d.softAttestor.Attest(nonce, attest.Measurement{Code: BaselineAgentDigest}), nil
 	}
-	if d.Speaker != nil {
-		return d.Speaker.Attest(nonce)
-	}
-	return d.Doorbell.Attest(nonce)
+	return d.ta.Attest(nonce)
 }
 
 // UpdateModel delivers a published model pack to the device; baseline
@@ -243,20 +244,12 @@ func (d *Device) UpdateModel(pack attest.Pack, tok attest.ManifestToken) error {
 	if d.Spec.Mode == ModeBaseline {
 		return nil
 	}
-	if d.Speaker != nil {
-		return d.Speaker.UpdateModel(pack, tok)
-	}
-	return d.Doorbell.UpdateModel(pack, tok)
+	return d.ta.UpdateModel(pack, tok)
 }
 
 // ModelVersion returns the model-pack version the device holds (0 for
 // baseline devices).
-func (d *Device) ModelVersion() uint64 {
-	if d.Speaker != nil {
-		return d.Speaker.ModelVersion()
-	}
-	return d.Doorbell.ModelVersion()
-}
+func (d *Device) ModelVersion() uint64 { return d.ta.ModelVersion() }
 
 // RotateKey redeems a verifier-issued key-rotation token: secure devices
 // verify and redeem it inside their TA (sealing the new epoch next to
@@ -275,10 +268,7 @@ func (d *Device) RotateKey(tok attest.RotationToken) (uint64, error) {
 		d.softAttestor = next
 		return next.Epoch(), nil
 	}
-	if d.Speaker != nil {
-		return d.Speaker.RotateKey(tok)
-	}
-	return d.Doorbell.RotateKey(tok)
+	return d.ta.RotateKey(tok)
 }
 
 // KeyEpoch returns the attestation key epoch the device signs under.
@@ -289,10 +279,7 @@ func (d *Device) KeyEpoch() uint64 {
 		}
 		return d.softAttestor.Epoch()
 	}
-	if d.Speaker != nil {
-		return d.Speaker.KeyEpoch()
-	}
-	return d.Doorbell.KeyEpoch()
+	return d.ta.KeyEpoch()
 }
 
 // SetTrace installs the device's sampled telemetry trace context (nil

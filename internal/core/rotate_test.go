@@ -1,166 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
-	"errors"
 	"sync"
 	"testing"
-
-	"repro/internal/attest"
 )
-
-// TestRotateKeySealsEpochAndReattests: the voice TA redeems a rotation
-// token (CmdRotateKey), seals the new epoch next to its model weights,
-// and signs subsequent evidence under the new epoch key — while a
-// handshake minted before the rotation still verifies inside the grace
-// window.
-func TestRotateKeySealsEpochAndReattests(t *testing.T) {
-	r := newAttestRig(t, ModeSecureFilter)
-	const id = "dev-under-test"
-
-	// Evidence signed at epoch 0, before the rotation is issued...
-	nonce := r.verifier.Challenge(id)
-	inFlight, err := r.sys.Attest(nonce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tok, err := r.verifier.Rotate(id)
-	if err != nil {
-		t.Fatalf("Rotate: %v", err)
-	}
-	// ...is still honored after it (the grace window).
-	if err := r.verifier.Verify(inFlight); err != nil {
-		t.Fatalf("in-flight handshake across a rotation: %v", err)
-	}
-
-	epoch, err := r.sys.RotateKey(tok)
-	if err != nil {
-		t.Fatalf("RotateKey: %v", err)
-	}
-	if epoch != 1 || r.sys.KeyEpoch() != 1 {
-		t.Fatalf("key epoch = %d/%d, want 1", epoch, r.sys.KeyEpoch())
-	}
-	// The epoch record is sealed into secure storage next to the model
-	// objects: present, confidential, and unsealing to the new epoch.
-	sealed, ok := r.sys.Storage.SealedBytes(keyEpochObjectID)
-	if !ok {
-		t.Fatal("key-epoch record not persisted in secure storage")
-	}
-	var plain [8]byte
-	binary.LittleEndian.PutUint64(plain[:], 1)
-	if len(sealed) <= len(plain) {
-		t.Fatalf("key-epoch record not sealed: %d bytes", len(sealed))
-	}
-	blob, err := r.sys.Storage.Get(keyEpochObjectID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if binary.LittleEndian.Uint64(blob) != 1 {
-		t.Fatalf("sealed epoch = %d, want 1", binary.LittleEndian.Uint64(blob))
-	}
-
-	// Re-attestation at the new epoch verifies and closes the window.
-	rep, err := r.sys.Attest(r.verifier.Challenge(id))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.KeyEpoch != 1 {
-		t.Fatalf("report epoch %d, want 1", rep.KeyEpoch)
-	}
-	if err := r.verifier.Verify(rep); err != nil {
-		t.Fatalf("re-attest at new epoch: %v", err)
-	}
-
-	// A replayed (stale) token no longer redeems; the epoch stays put.
-	if _, err := r.sys.RotateKey(tok); !errors.Is(err, attest.ErrBadRotation) {
-		t.Fatalf("stale token: got %v, want ErrBadRotation", err)
-	}
-	if r.sys.KeyEpoch() != 1 {
-		t.Fatalf("epoch moved to %d on a rejected token", r.sys.KeyEpoch())
-	}
-}
-
-// TestRotateKeyRestoredOnRestart: a TA constructed over a storage that
-// holds a sealed key-epoch record resumes signing at the rotated epoch
-// — the record is not write-only provenance.
-func TestRotateKeyRestoredOnRestart(t *testing.T) {
-	r := newAttestRig(t, ModeSecureFilter)
-	tok, err := r.verifier.Rotate("dev-under-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.sys.RotateKey(tok); err != nil {
-		t.Fatal(err)
-	}
-	// "Restart": rebuild the TA over the same sealed storage with a
-	// fresh provisioning-epoch attestor, as a reboot would.
-	cfg := r.sys.VoiceTA.cfg
-	cfg.Attestor = attest.NewAttestor("dev-under-test", r.key)
-	restarted, err := NewVoiceTA(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := restarted.KeyEpoch(); got != 1 {
-		t.Fatalf("restarted TA signs at epoch %d, want the sealed epoch 1", got)
-	}
-	// Its evidence verifies at the rotated epoch without a new redeem.
-	rep, err := restarted.attestReport(r.verifier.Challenge("dev-under-test"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.verifier.Verify(rep); err != nil {
-		t.Fatalf("restarted TA evidence: %v", err)
-	}
-}
-
-// TestCameraRotateKey: the camera TA twin of CmdRotateKey.
-func TestCameraRotateKey(t *testing.T) {
-	const keySeed = 888
-	sys, err := NewCameraSystem(CameraConfig{
-		Mode:          ModeSecureFilter,
-		Seed:          42,
-		DeviceID:      "cam-under-test",
-		AttestKeySeed: keySeed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := attest.KeyFromSeed(keySeed)
-	v := attest.NewVerifier(1, func(id string) (attest.DeviceKey, bool) {
-		return key, id == "cam-under-test"
-	})
-	v.AllowMeasurement(CameraTADigest, true)
-
-	tok, err := v.Rotate("cam-under-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	epoch, err := sys.RotateKey(tok)
-	if err != nil {
-		t.Fatalf("RotateKey: %v", err)
-	}
-	if epoch != 1 || sys.KeyEpoch() != 1 {
-		t.Fatalf("key epoch = %d/%d, want 1", epoch, sys.KeyEpoch())
-	}
-	if _, ok := sys.Storage.SealedBytes(cameraKeyEpochID); !ok {
-		t.Fatal("camera key-epoch record not persisted in secure storage")
-	}
-	rep, err := sys.Attest(v.Challenge("cam-under-test"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.KeyEpoch != 1 {
-		t.Fatalf("report epoch %d, want 1", rep.KeyEpoch)
-	}
-	if err := v.Verify(rep); err != nil {
-		t.Fatalf("verify at new epoch: %v", err)
-	}
-	// A forged token (wrong key) is rejected in the TA.
-	forged := attest.RotationToken{DeviceID: "cam-under-test", NewEpoch: 2}
-	if _, err := sys.RotateKey(forged); !errors.Is(err, attest.ErrBadRotation) {
-		t.Fatalf("forged token: got %v, want ErrBadRotation", err)
-	}
-}
 
 // TestRotateKeyDuringBatchedInference: a key rotation lands through a
 // management session while a batched inference session is mid-run. Run

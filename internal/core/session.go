@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/attest"
 	"repro/internal/audio"
 	"repro/internal/cloud"
 	"repro/internal/i2s"
+	"repro/internal/kernel"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/optee"
@@ -21,100 +21,21 @@ import (
 // ErrNoTEE is returned for TEE-only operations on baseline systems.
 var ErrNoTEE = errors.New("core: operation requires a secure-mode system")
 
-// withTA runs fn over a short-lived management session to the voice TA.
-// The TA instance refcounts sessions, so a management session opened
-// while a processing session is live shares the running instance (and
-// the capture stream keeps going).
-func (s *System) withTA(fn func(sess *teec.Session) error) error {
-	if s.cfg.Mode == ModeBaseline {
-		return ErrNoTEE
-	}
-	ctx := teec.InitializeContext(s.TEE)
-	sess, err := ctx.OpenSession(UUIDVoiceTA)
-	if err != nil {
-		return fmt.Errorf("core management session: %w", err)
-	}
-	defer func() { _ = ctx.FinalizeContext() }()
-	return fn(sess)
-}
-
-// Attest asks the TA for attestation evidence over the verifier's
-// challenge nonce (fleet handshake, Fig. 1 extended: the provider admits
-// the device's traffic only after this report verifies).
-func (s *System) Attest(nonce attest.Nonce) (attest.Report, error) {
-	var rep attest.Report
-	err := s.withTA(func(sess *teec.Session) error {
-		buf := make([]byte, 512)
-		p := &optee.Params{
-			{Type: optee.MemrefIn, Buf: nonce[:]},
-			{Type: optee.MemrefOut, Buf: buf},
-			{},
-		}
-		if err := sess.InvokeCommand(CmdAttest, p); err != nil {
-			return err
-		}
-		got, err := attest.UnmarshalReport(buf[:p[2].A])
-		if err != nil {
-			return err
-		}
-		rep = got
-		return nil
-	})
-	return rep, err
-}
-
-// UpdateModel delivers a published model pack and its per-device
-// manifest token to the TA, which authenticates, seals and hot-swaps it.
-func (s *System) UpdateModel(pack attest.Pack, tok attest.ManifestToken) error {
-	return s.withTA(func(sess *teec.Session) error {
-		p := &optee.Params{
-			{Type: optee.MemrefIn, Buf: pack.Encode()},
-			{Type: optee.MemrefIn, Buf: tok.Marshal()},
-			{},
-		}
-		return sess.InvokeCommand(CmdUpdateModel, p)
-	})
-}
-
-// ModelVersion returns the model-pack version the device holds (0 for
-// baseline systems, which hold no on-device model).
-func (s *System) ModelVersion() uint64 {
-	if s.cfg.Mode == ModeBaseline {
-		return 0
-	}
-	return s.VoiceTA.ModelVersion()
-}
-
-// RotateKey redeems a verifier-issued key-rotation token in the TA,
-// which verifies it under the current attestation key, seals the new
-// epoch and swaps the evidence signer. Returns the new key epoch.
-func (s *System) RotateKey(tok attest.RotationToken) (uint64, error) {
-	var epoch uint64
-	err := s.withTA(func(sess *teec.Session) error {
-		p := &optee.Params{{Type: optee.MemrefIn, Buf: tok.Marshal()}, {}}
-		if err := sess.InvokeCommand(CmdRotateKey, p); err != nil {
-			return err
-		}
-		epoch = p[1].A
-		return nil
-	})
-	return epoch, err
-}
-
-// KeyEpoch returns the attestation key epoch the device signs evidence
-// under (0 for baseline systems).
-func (s *System) KeyEpoch() uint64 {
-	if s.cfg.Mode == ModeBaseline {
-		return 0
-	}
-	return s.VoiceTA.KeyEpoch()
-}
-
 // SnoopSummary aggregates the compromised-OS adversary's results.
 type SnoopSummary struct {
 	Attempts       int
 	Blocked        int
 	BytesRecovered int
+}
+
+// add tallies one snoop attempt.
+func (s *SnoopSummary) add(got kernel.SnoopResult) {
+	s.Attempts++
+	if got.Blocked {
+		s.Blocked++
+	} else {
+		s.BytesRecovered += len(got.Got)
+	}
 }
 
 // UtteranceOutcome pairs ground truth with what happened to one utterance.
@@ -203,8 +124,7 @@ func (s *System) RunSession(utterances []sensitive.Utterance) (*SessionResult, e
 	s.Monitor.ResetStats()
 
 	var runOne func(i int, u sensitive.Utterance) (UtteranceOutcome, error)
-	switch s.cfg.Mode {
-	case ModeBaseline:
+	if s.cfg.Mode == ModeBaseline {
 		// Hold the capture stream open across the session so the DMA
 		// buffer stays live (and snoopable), mirroring a continuously
 		// listening assistant.
@@ -218,22 +138,7 @@ func (s *System) RunSession(utterances []sensitive.Utterance) (*SessionResult, e
 		runOne = func(i int, u sensitive.Utterance) (UtteranceOutcome, error) {
 			return s.runBaselineUtterance(fd, i, u)
 		}
-	case ModeHybridHE:
-		// Hybrid shares the TEEC session but each utterance takes the
-		// three-domain round trip: TA transcribe → normal-world encrypt →
-		// provider HE eval → TA decrypt + tail.
-		ctx := teec.InitializeContext(s.TEE)
-		sess, err := ctx.OpenSession(UUIDVoiceTA)
-		if err != nil {
-			return nil, fmt.Errorf("core session: %w", err)
-		}
-		defer func() {
-			_ = ctx.FinalizeContext()
-		}()
-		runOne = func(i int, u sensitive.Utterance) (UtteranceOutcome, error) {
-			return s.runHybridUtterance(sess, i, u)
-		}
-	default:
+	} else {
 		// Secure modes share one TEEC session across the run.
 		ctx := teec.InitializeContext(s.TEE)
 		sess, err := ctx.OpenSession(UUIDVoiceTA)
@@ -253,15 +158,7 @@ func (s *System) RunSession(utterances []sensitive.Utterance) (*SessionResult, e
 		if err != nil {
 			return nil, fmt.Errorf("utterance %d (%q): %w", i, u.Text(), err)
 		}
-		res.Utterances = append(res.Utterances, outcome)
-		if outcome.Shed {
-			res.ShedEvents++
-		}
-		if outcome.Expired {
-			res.ExpiredEvents++
-		}
-		res.Latency.Observe(float64(outcome.Cycles))
-
+		res.add(outcome)
 		// The compromised OS sweeps the driver's capture buffer after
 		// every utterance.
 		s.sweepSnoop(res)
@@ -271,6 +168,18 @@ func (s *System) RunSession(utterances []sensitive.Utterance) (*SessionResult, e
 	return res, nil
 }
 
+// add tallies one outcome into the result.
+func (r *SessionResult) add(out UtteranceOutcome) {
+	r.Utterances = append(r.Utterances, out)
+	if out.Shed {
+		r.ShedEvents++
+	}
+	if out.Expired {
+		r.ExpiredEvents++
+	}
+	r.Latency.Observe(float64(out.Cycles))
+}
+
 // sweepSnoop models the compromised OS reading the driver's live capture
 // buffer (blocked by the TZASC in secure modes).
 func (s *System) sweepSnoop(res *SessionResult) {
@@ -278,13 +187,7 @@ func (s *System) sweepSnoop(res *SessionResult) {
 	if addr == 0 {
 		return
 	}
-	got := s.Snooper.Capture(addr, min(64, s.cfg.BufBytes))
-	res.Snoop.Attempts++
-	if got.Blocked {
-		res.Snoop.Blocked++
-	} else {
-		res.Snoop.BytesRecovered += len(got.Got)
-	}
+	res.Snoop.add(s.Snooper.Capture(addr, min(64, s.cfg.BufBytes)))
 }
 
 // finalizeSession fills the cross-cutting tail of a session result:
@@ -454,75 +357,110 @@ func (s *System) runBaselineUtterance(fd int, i int, u sensitive.Utterance) (Utt
 	return out, nil
 }
 
-// runSecureUtterance: mic -> secure driver -> PTA -> TA (ASR [+filter])
-// -> sealed relay -> supplicant -> cloud.
-func (s *System) runSecureUtterance(sess *teec.Session, i int, u sensitive.Utterance) (UtteranceOutcome, error) {
-	out := UtteranceOutcome{Truth: u}
-	start := s.Clock.Now()
-
-	pcm := s.utteranceAudio(i, u)
-	wantBytes := len(pcm.Samples) * 2
-	s.Mic.Load(pcm)
-	// Stream the whole utterance onto the bus (the big controller FIFO
-	// stands in for real-time pacing; see NewSystem).
+// queueGroup renders a group's utterances onto the bus back to back (the
+// mic appends signals; the big controller FIFO stands in for real-time
+// pacing, see NewSystem) and returns the TA's MemrefIn of little-endian
+// uint32 utterance byte lengths.
+func (s *System) queueGroup(lo int, group []sensitive.Utterance) []byte {
+	lens := make([]byte, 0, 4*len(group))
+	for i, u := range group {
+		pcm := s.utteranceAudio(lo+i, u)
+		s.Mic.Load(pcm)
+		lens = binary.LittleEndian.AppendUint32(lens, uint32(len(pcm.Samples)*2))
+	}
 	for {
 		if _, err := s.Mic.PumpBytes(8192); err != nil {
 			break
 		}
 	}
+	return lens
+}
 
-	before := len(s.VoiceTA.Processed())
-	p := &optee.Params{{Type: optee.ValueIn, A: uint64(wantBytes)}, {}}
-	if err := sess.InvokeCommand(CmdProcessUtterance, p); err != nil {
-		return out, err
-	}
+// groupRecords returns the n records a group invocation appended to the
+// TA's log after the first before.
+func (s *System) groupRecords(before, n int) ([]ProcessedUtterance, error) {
 	records := s.VoiceTA.Processed()
-	if len(records) <= before {
-		return out, fmt.Errorf("voice ta recorded no utterance")
+	if len(records) != before+n {
+		return nil, fmt.Errorf("%d records for %d utterances", len(records)-before, n)
 	}
-	rec := records[len(records)-1]
-	out.Transcript = rec.Transcript
-	out.Flagged = rec.Flagged
-	out.Forwarded = rec.Forwarded
-	out.Shed = rec.Shed
-	out.Expired = rec.Expired
-	out.Redacted = rec.Redacted
-	out.Stages = rec.Stages
+	return records[before:], nil
+}
+
+// outcome copies one TA record into a session outcome with the given
+// latency and charges the record's sealed bytes to the radio.
+func (s *System) outcome(truth sensitive.Utterance, rec ProcessedUtterance, cycles tz.Cycles) UtteranceOutcome {
 	if rec.SealedSize > 0 {
 		s.mu.Lock()
 		s.radioBytes += uint64(rec.SealedSize)
 		s.mu.Unlock()
 	}
-	out.Cycles = s.Clock.Now() - start
-	s.emitUtteranceSpans(start, rec, 1)
+	return UtteranceOutcome{
+		Truth:      truth,
+		Transcript: rec.Transcript,
+		Flagged:    rec.Flagged,
+		Forwarded:  rec.Forwarded,
+		Shed:       rec.Shed,
+		Expired:    rec.Expired,
+		Redacted:   rec.Redacted,
+		Cycles:     cycles,
+		Stages:     rec.Stages,
+	}
+}
+
+// recordGroup folds a TA-processed group into the result. The items of a
+// group share one session-clock interval, so each is laid out — spans
+// and latency — at its summed stage cycles, back to back from start; the
+// compromised OS then sweeps the capture buffer between groups.
+func (s *System) recordGroup(res *SessionResult, start tz.Cycles, truths []sensitive.Utterance, recs []ProcessedUtterance) {
+	for i, rec := range recs {
+		s.emitUtteranceSpans(start, rec, len(recs))
+		start += rec.Stages.Total()
+		res.add(s.outcome(truths[i], rec, rec.Stages.Total()))
+	}
+	s.sweepSnoop(res)
+}
+
+// runSecureUtterance runs one utterance as a TA group of one: mic ->
+// secure driver -> PTA -> TA (ASR [+filter]) -> sealed relay ->
+// supplicant -> cloud, with the hybrid split's HE round trip between
+// transcription and classification. Its latency is the session clock
+// across the whole call, normal-world work included.
+func (s *System) runSecureUtterance(sess *teec.Session, i int, u sensitive.Utterance) (UtteranceOutcome, error) {
+	start := s.Clock.Now()
+	before := len(s.VoiceTA.Processed())
+	group := []sensitive.Utterance{u}
+	if s.cfg.Mode == ModeHybridHE {
+		if err := s.hybridProcessGroup(sess, i, group); err != nil {
+			return UtteranceOutcome{}, err
+		}
+	} else {
+		lens := s.queueGroup(i, group)
+		p := &optee.Params{{Type: optee.ValueIn, A: uint64(binary.LittleEndian.Uint32(lens))}, {}}
+		if err := sess.InvokeCommand(CmdProcessUtterance, p); err != nil {
+			return UtteranceOutcome{}, err
+		}
+	}
+	recs, err := s.groupRecords(before, 1)
+	if err != nil {
+		return UtteranceOutcome{}, err
+	}
+	out := s.outcome(u, recs[0], s.Clock.Now()-start)
+	s.emitUtteranceSpans(start, recs[0], 1)
 	return out, nil
 }
 
 // hybridProcessGroup runs one group of utterances through the hybrid
-// HE+TEE split. The TA captures and transcribes the group, staging the
-// encoded tokens (CmdTranscribeBatch); the normal world runs the
-// embedding head over the staged tokens and encrypts the features under
-// the provider's HE public key; the provider evaluates the classifier's
-// first conv layer blind over the ciphertexts; and CmdResumeBatchHE
-// hands the results back into the TA, which decrypts under the sealed
-// secret key and runs the non-linear tail, policy filter and sealed
-// relay exactly as secure-filter does. The provider observes ciphertext
-// bytes only — never a cleartext feature.
+// HE+TEE split. The TA captures and transcribes the group, staging it
+// (CmdTranscribeBatch); the normal world runs the embedding head over
+// the staged tokens and encrypts the features under the provider's HE
+// public key; the provider evaluates the classifier's first conv layer
+// blind over the ciphertexts; and CmdResumeBatchHE hands the results
+// back into the TA, which decrypts under the sealed secret key and runs
+// the non-linear tail, policy filter and sealed relay exactly as
+// secure-filter does. The provider observes ciphertext bytes only —
+// never a cleartext feature.
 func (s *System) hybridProcessGroup(sess *teec.Session, lo int, group []sensitive.Utterance) error {
-	lens := make([]byte, 0, 4*len(group))
-	for i, u := range group {
-		pcm := s.utteranceAudio(lo+i, u)
-		s.Mic.Load(pcm)
-		var word [4]byte
-		binary.LittleEndian.PutUint32(word[:], uint32(len(pcm.Samples)*2))
-		lens = append(lens, word[:]...)
-	}
-	for {
-		if _, err := s.Mic.PumpBytes(8192); err != nil {
-			break
-		}
-	}
-	p := &optee.Params{{Type: optee.MemrefIn, Buf: lens}, {}}
+	p := &optee.Params{{Type: optee.MemrefIn, Buf: s.queueGroup(lo, group)}, {}}
 	if err := sess.InvokeCommand(CmdTranscribeBatch, p); err != nil {
 		return fmt.Errorf("hybrid transcribe: %w", err)
 	}
@@ -567,43 +505,15 @@ func (s *System) hybridProcessGroup(sess *teec.Session, lo int, group []sensitiv
 	return nil
 }
 
-// runHybridUtterance is the per-utterance RunSession arm of the hybrid
-// split: one-element group through hybridProcessGroup.
-func (s *System) runHybridUtterance(sess *teec.Session, i int, u sensitive.Utterance) (UtteranceOutcome, error) {
-	out := UtteranceOutcome{Truth: u}
-	start := s.Clock.Now()
-	before := len(s.VoiceTA.Processed())
-	if err := s.hybridProcessGroup(sess, i, []sensitive.Utterance{u}); err != nil {
-		return out, err
-	}
-	records := s.VoiceTA.Processed()
-	if len(records) <= before {
-		return out, fmt.Errorf("voice ta recorded no utterance")
-	}
-	rec := records[len(records)-1]
-	out.Transcript = rec.Transcript
-	out.Flagged = rec.Flagged
-	out.Forwarded = rec.Forwarded
-	out.Shed = rec.Shed
-	out.Expired = rec.Expired
-	out.Redacted = rec.Redacted
-	out.Stages = rec.Stages
-	if rec.SealedSize > 0 {
-		s.mu.Lock()
-		s.radioBytes += uint64(rec.SealedSize)
-		s.mu.Unlock()
-	}
-	out.Cycles = s.Clock.Now() - start
-	s.emitUtteranceSpans(start, rec, 1)
-	return out, nil
-}
-
 // RunSessionBatched is RunSession for the secure modes with TA-side
 // batching: utterances are queued onto the bus in groups of `batch` and
 // each group is processed by ONE CmdProcessBatch invocation, so the
 // session pays one world-switch round trip per group instead of per
 // utterance, and the classifier runs one batched forward pass per group.
-// Baseline mode has no TA to batch into and falls back to RunSession.
+// The hybrid split takes two invocations per group (stage, then the HE
+// handoff) around the provider round trip, still with one capture
+// queueing. Baseline mode has no TA to batch into and falls back to
+// RunSession.
 func (s *System) RunSessionBatched(utterances []sensitive.Utterance, batch int) (*SessionResult, error) {
 	if s.cfg.Mode == ModeBaseline || batch <= 1 {
 		return s.RunSession(utterances)
@@ -625,75 +535,22 @@ func (s *System) RunSessionBatched(utterances []sensitive.Utterance, batch int) 
 	}()
 
 	for lo := 0; lo < len(utterances); lo += batch {
-		hi := min(lo+batch, len(utterances))
-		group := utterances[lo:hi]
+		group := utterances[lo:min(lo+batch, len(utterances))]
 		groupStart := s.Clock.Now()
 		before := len(s.VoiceTA.Processed())
-
 		if s.cfg.Mode == ModeHybridHE {
-			// The hybrid split stages transcripts and routes the group
-			// through the HE round trip; two invocations per group instead
-			// of one, but still one capture queueing.
-			if err := s.hybridProcessGroup(sess, lo, group); err != nil {
-				return nil, fmt.Errorf("batch at %d: %w", lo, err)
-			}
+			err = s.hybridProcessGroup(sess, lo, group)
 		} else {
-			// Queue the whole group onto the bus; the mic appends signals,
-			// so the FIFO holds the utterances back to back.
-			lens := make([]byte, 0, 4*len(group))
-			for i, u := range group {
-				pcm := s.utteranceAudio(lo+i, u)
-				s.Mic.Load(pcm)
-				var word [4]byte
-				binary.LittleEndian.PutUint32(word[:], uint32(len(pcm.Samples)*2))
-				lens = append(lens, word[:]...)
-			}
-			for {
-				if _, err := s.Mic.PumpBytes(8192); err != nil {
-					break
-				}
-			}
-			p := &optee.Params{{Type: optee.MemrefIn, Buf: lens}, {}}
-			if err := sess.InvokeCommand(CmdProcessBatch, p); err != nil {
-				return nil, fmt.Errorf("batch at %d: %w", lo, err)
-			}
+			err = sess.InvokeCommand(CmdProcessBatch, &optee.Params{{Type: optee.MemrefIn, Buf: s.queueGroup(lo, group)}, {}})
 		}
-		records := s.VoiceTA.Processed()
-		if len(records) != before+len(group) {
-			return nil, fmt.Errorf("batch at %d: %d records for %d utterances", lo, len(records)-before, len(group))
+		if err != nil {
+			return nil, fmt.Errorf("batch at %d: %w", lo, err)
 		}
-		cursor := groupStart
-		for i, rec := range records[before:] {
-			s.emitUtteranceSpans(cursor, rec, len(group))
-			cursor += rec.Stages.Total()
-			out := UtteranceOutcome{
-				Truth:      group[i],
-				Transcript: rec.Transcript,
-				Flagged:    rec.Flagged,
-				Forwarded:  rec.Forwarded,
-				Shed:       rec.Shed,
-				Expired:    rec.Expired,
-				Redacted:   rec.Redacted,
-				Cycles:     rec.Stages.Total(),
-				Stages:     rec.Stages,
-			}
-			if rec.SealedSize > 0 {
-				s.mu.Lock()
-				s.radioBytes += uint64(rec.SealedSize)
-				s.mu.Unlock()
-			}
-			res.Utterances = append(res.Utterances, out)
-			if out.Shed {
-				res.ShedEvents++
-			}
-			if out.Expired {
-				res.ExpiredEvents++
-			}
-			res.Latency.Observe(float64(out.Cycles))
+		recs, err := s.groupRecords(before, len(group))
+		if err != nil {
+			return nil, fmt.Errorf("batch at %d: %w", lo, err)
 		}
-
-		// The compromised OS sweeps the capture buffer between batches.
-		s.sweepSnoop(res)
+		s.recordGroup(res, groupStart, group, recs)
 	}
 
 	s.finalizeSession(res, startCycles)

@@ -111,23 +111,7 @@ func (st *StagedSession) CaptureGroup() (*PendingGroup, error) {
 	group := st.utterances[st.lo:hi]
 	groupStart := s.Clock.Now()
 
-	// Queue the whole group onto the bus; the mic appends signals, so
-	// the FIFO holds the utterances back to back.
-	lens := make([]byte, 0, 4*len(group))
-	for i, u := range group {
-		pcm := s.utteranceAudio(st.lo+i, u)
-		s.Mic.Load(pcm)
-		var word [4]byte
-		binary.LittleEndian.PutUint32(word[:], uint32(len(pcm.Samples)*2))
-		lens = append(lens, word[:]...)
-	}
-	for {
-		if _, err := s.Mic.PumpBytes(8192); err != nil {
-			break
-		}
-	}
-
-	p := &optee.Params{{Type: optee.MemrefIn, Buf: lens}, {}}
+	p := &optee.Params{{Type: optee.MemrefIn, Buf: s.queueGroup(st.lo, group)}, {}}
 	if err := st.sess.InvokeCommand(CmdTranscribeBatch, p); err != nil {
 		return nil, fmt.Errorf("staged capture at %d: %w", st.lo, err)
 	}
@@ -166,8 +150,6 @@ func (st *StagedSession) ResumeGroup(pg *PendingGroup, flags []bool, occs []int,
 			pg.lo, len(flags), len(occs), n)
 	}
 	s := st.s
-	res := st.res
-
 	buf := make([]byte, 5*n)
 	for i := 0; i < n; i++ {
 		if flags[i] {
@@ -184,42 +166,11 @@ func (st *StagedSession) ResumeGroup(pg *PendingGroup, flags []bool, occs []int,
 	if err := st.sess.InvokeCommand(CmdResumeBatch, p); err != nil {
 		return fmt.Errorf("staged resume at %d: %w", pg.lo, err)
 	}
-	records := s.VoiceTA.Processed()
-	if len(records) != before+n {
-		return fmt.Errorf("staged resume at %d: %d records for %d utterances", pg.lo, len(records)-before, n)
+	recs, err := s.groupRecords(before, n)
+	if err != nil {
+		return fmt.Errorf("staged resume at %d: %w", pg.lo, err)
 	}
-	cursor := pg.groupStart
-	for i, rec := range records[before:] {
-		s.emitUtteranceSpans(cursor, rec, n)
-		cursor += rec.Stages.Total()
-		out := UtteranceOutcome{
-			Truth:      pg.truths[i],
-			Transcript: rec.Transcript,
-			Flagged:    rec.Flagged,
-			Forwarded:  rec.Forwarded,
-			Shed:       rec.Shed,
-			Expired:    rec.Expired,
-			Redacted:   rec.Redacted,
-			Cycles:     rec.Stages.Total(),
-			Stages:     rec.Stages,
-		}
-		if rec.SealedSize > 0 {
-			s.mu.Lock()
-			s.radioBytes += uint64(rec.SealedSize)
-			s.mu.Unlock()
-		}
-		res.Utterances = append(res.Utterances, out)
-		if out.Shed {
-			res.ShedEvents++
-		}
-		if out.Expired {
-			res.ExpiredEvents++
-		}
-		res.Latency.Observe(float64(out.Cycles))
-	}
-
-	// The compromised OS sweeps the capture buffer between batches.
-	s.sweepSnoop(res)
+	s.recordGroup(st.res, pg.groupStart, pg.truths, recs)
 	st.pending = false
 	return nil
 }

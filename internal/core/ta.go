@@ -9,35 +9,15 @@ import (
 	"repro/internal/asr"
 	"repro/internal/attest"
 	"repro/internal/audio"
-	"repro/internal/cloud"
 	"repro/internal/driver"
 	"repro/internal/he"
 	"repro/internal/i2s"
 	"repro/internal/ml/classify"
-	"repro/internal/ml/layers"
 	"repro/internal/optee"
 	"repro/internal/relay"
 	"repro/internal/sensitive"
 	"repro/internal/tz"
 )
-
-// weightsObjectID is the secure-storage id of the sealed classifier.
-const weightsObjectID = "voice-ta/classifier-weights"
-
-// heSecretKeyID is the secure-storage id of the sealed HE secret key
-// (ModeHybridHE): provisioned like the model pack, unsealed only
-// inside the TA for the HE→TEE handoff decrypt.
-const heSecretKeyID = "voice-ta/he-secret-key"
-
-// packObjectID is the secure-storage id of a provisioned model pack.
-func packObjectID(version uint64) string {
-	return fmt.Sprintf("voice-ta/model-pack-v%d", version)
-}
-
-// keyEpochObjectID is the secure-storage id of the sealed key-epoch
-// record, kept next to the current-weights object so a TA restart
-// resumes signing at the rotated epoch.
-const keyEpochObjectID = "voice-ta/key-epoch"
 
 // VoiceTADigest is the measured code identity of the voice TA — what a
 // loader hashing the TA image would report, and what the fleet verifier
@@ -141,11 +121,14 @@ func (p *DriverPTA) stop() error {
 	return p.drv.Close()
 }
 
-// VoiceTA commands.
+// VoiceTA commands (the management commands CmdAttest, CmdUpdateModel and
+// CmdRotateKey are shared by every TA; see tacore.go).
 const (
 	// CmdProcessUtterance captures params[0].A bytes of audio through the
 	// PTA, transcribes, (optionally) classifies and filters, and relays
-	// the result. Outputs: params[1] ValueOut A=forwarded(0/1) B=redacted.
+	// the result: a group of one, passed as a ValueIn so the call pays no
+	// shared-memory flush. Outputs: params[1] ValueOut A=forwarded(0/1)
+	// B=redacted.
 	CmdProcessUtterance uint32 = 0x20
 	// CmdProcessBatch processes several queued utterances in ONE TA
 	// invocation, amortizing the world-switch round trip and batching the
@@ -153,30 +136,13 @@ const (
 	// little-endian uint32 utterance byte lengths; outputs: params[1]
 	// ValueOut A=forwarded count, B=total redacted tokens.
 	CmdProcessBatch uint32 = 0x21
-	// CmdAttest produces attestation evidence: params[0] is a MemrefIn
-	// challenge nonce, params[1] a MemrefOut the marshalled report is
-	// written into, params[2].A (ValueOut) the report length.
-	CmdAttest uint32 = 0x22
-	// CmdUpdateModel installs a newer model pack: params[0] is a MemrefIn
-	// encoded attest.Pack, params[1] a MemrefIn marshalled manifest token.
-	// The TA verifies the manifest against its device key, seals the pack
-	// into secure storage and hot-swaps the classifier without disturbing
-	// in-flight batches; params[2].A (ValueOut) returns the new version.
-	CmdUpdateModel uint32 = 0x23
-	// CmdRotateKey redeems a verifier-issued key-rotation token:
-	// params[0] is a MemrefIn marshalled attest.RotationToken. The TA
-	// verifies the token under its current attestation key, derives the
-	// next epoch key, seals the epoch record to secure storage (next to
-	// current-weights) and swaps the signer without disturbing in-flight
-	// work; params[1].A (ValueOut) returns the new key epoch.
-	CmdRotateKey uint32 = 0x24
 	// CmdTranscribeBatch runs the front half of CmdProcessBatch — capture
 	// and in-TEE transcription for one queued group — then parks: the
-	// encoded token sequences are staged for an external shared-scheduler
-	// classification instead of classifying inline, so the calling thread
-	// can yield while the cross-device flush forms. params[0] is a
-	// MemrefIn of little-endian uint32 utterance byte lengths; params[1].A
-	// (ValueOut) returns the pending count.
+	// group is staged for an external shared-scheduler classification
+	// instead of classifying inline, so the calling thread can yield while
+	// the cross-device flush forms. params[0] is a MemrefIn of
+	// little-endian uint32 utterance byte lengths; params[1].A (ValueOut)
+	// returns the pending count.
 	CmdTranscribeBatch uint32 = 0x25
 	// CmdResumeBatch completes a staged batch with verdicts from the
 	// shared classifier: params[0] is a MemrefIn of 5 bytes per item
@@ -268,73 +234,58 @@ type VoiceTAConfig struct {
 	HEParams he.Params
 }
 
+// voiceKind is the voice TA's lifecycle identity: text weights and the
+// text split, under the voice-ta/ storage prefix.
+var voiceKind = newTAKind("voice-ta", VoiceTADigest, func(p attest.Pack) []byte { return p.Text }, splitText)
+
 // VoiceTA is the trusted application of Fig. 1: it pulls audio from the
 // PTA, transcribes it, applies the ML filter, and relays sanitized events
 // through the supplicant to the cloud.
+//
+// Every command runs one utterance group through the same three steps:
+// stageGroup (capture and transcribe), one classify step — inline
+// (classifyGroup), the shared scheduler's verdicts (applyVerdicts) or the
+// HE tail (classifyHE) — and finishGroup (relay and record).
 type VoiceTA struct {
-	cfg     VoiceTAConfig
-	channel *relay.Channel
+	taCore
+	recognizer *asr.Session
+	vocab      *sensitive.Vocabulary
+	policy     relay.Policy
 
-	mu           sync.Mutex
-	classifier   *classify.Classifier // nil until first classify (unsealed from storage) or updateModel
-	remote       ClassifyService      // non-nil: classify via the shared cross-device scheduler
-	remoteDevice string               // device id submitted with shared-classify requests
-	opens        int                  // open-session refcount; capture runs while > 0
-	modelVersion uint64
-	modelSeed    uint64
-	processed    []ProcessedUtterance
-	messageID    uint64
-	// Staged-batch state (CmdTranscribeBatch → CmdResumeBatch): records
-	// carrying the capture/transcribe halves, their transcripts, and the
-	// encoded tokens awaiting the shared classifier. At most one staged
-	// batch is pending per TA.
-	pendingRecs        []ProcessedUtterance
-	pendingTranscripts [][]string
-	pendingTokens      [][]int
+	// Guarded by taCore.mu.
+	opens     int // open-session refcount; capture runs while > 0
+	processed []ProcessedUtterance
+	// pending is the group CmdTranscribeBatch staged for
+	// CmdResumeBatch/CmdResumeBatchHE: records carrying the capture and
+	// transcribe halves. At most one group is pending per TA.
+	pending []ProcessedUtterance
 }
 
 var _ optee.TA = (*VoiceTA)(nil)
 
-// NewVoiceTA constructs the TA (registered but not yet opened). A
-// sealed key-epoch record left by an earlier instance's CmdRotateKey is
-// restored here, so a TA restart resumes signing at the rotated epoch
-// instead of falling back to the provisioning key.
+// NewVoiceTA constructs the TA (registered but not yet opened).
 func NewVoiceTA(cfg VoiceTAConfig) (*VoiceTA, error) {
-	ch, err := relay.NewChannel(cfg.Identity, cfg.CloudPub, true)
-	if err != nil {
-		return nil, fmt.Errorf("voice ta channel: %w", err)
+	t := &VoiceTA{
+		taCore: taCore{
+			kind: voiceKind, tee: cfg.TEE, storage: cfg.Storage, clock: cfg.Clock, cost: cfg.Cost,
+			filter: cfg.Filter, hybrid: cfg.Hybrid, heParams: cfg.HEParams,
+			skeleton: func(seed uint64) (*classify.Classifier, error) {
+				return classify.NewText(cfg.Arch, NewRNG(seed, seed^SaltClassifier), cfg.VocabSize, 12)
+			},
+			attestor: cfg.Attestor, modelVersion: cfg.ModelVersion, modelSeed: cfg.Seed,
+		},
+		recognizer: cfg.Recognizer,
+		vocab:      cfg.Vocab,
+		policy:     cfg.Policy,
 	}
-	cfg.Attestor = restoreKeyEpoch(cfg.Storage, keyEpochObjectID, cfg.Attestor)
-	return &VoiceTA{
-		cfg:          cfg,
-		channel:      ch,
-		modelVersion: cfg.ModelVersion,
-		modelSeed:    cfg.Seed,
-	}, nil
-}
-
-// restoreKeyEpoch advances an attestor to the key epoch sealed in
-// secure storage (no record, or no attestor, leaves it untouched).
-func restoreKeyEpoch(storage *optee.Storage, objectID string, a *attest.Attestor) *attest.Attestor {
-	if a == nil || storage == nil {
-		return a
+	if err := t.init(cfg.Identity, cfg.CloudPub); err != nil {
+		return nil, err
 	}
-	blob, err := storage.Get(objectID)
-	if err != nil || len(blob) < 8 {
-		return a
-	}
-	return a.AtEpoch(binary.LittleEndian.Uint64(blob))
+	return t, nil
 }
 
 // UUID implements optee.TA.
 func (t *VoiceTA) UUID() string { return UUIDVoiceTA }
-
-// ModelVersion returns the version of the model pack the TA holds.
-func (t *VoiceTA) ModelVersion() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.modelVersion
-}
 
 // Open implements optee.TA. The TA is a single multi-session instance:
 // the first session starts the capture stream through the PTA; further
@@ -351,7 +302,7 @@ func (t *VoiceTA) Open(sessionID uint32) error {
 	first := t.opens == 1
 	t.mu.Unlock()
 	if first {
-		if err := t.cfg.TEE.InvokeSecure(UUIDDriverPTA, CmdPTAStart, nil); err != nil {
+		if err := t.tee.InvokeSecure(UUIDDriverPTA, CmdPTAStart, nil); err != nil {
 			t.mu.Lock()
 			t.opens--
 			t.mu.Unlock()
@@ -359,20 +310,6 @@ func (t *VoiceTA) Open(sessionID uint32) error {
 		}
 	}
 	return nil
-}
-
-// buildClassifier reconstructs the classifier skeleton for a model seed
-// and restores the given serialized weights into it.
-func (t *VoiceTA) buildClassifier(seed uint64, blob []byte) (*classify.Classifier, error) {
-	rng := NewRNG(seed, seed^SaltClassifier)
-	clf, err := classify.NewText(t.cfg.Arch, rng, t.cfg.VocabSize, 12)
-	if err != nil {
-		return nil, err
-	}
-	if err := clf.LoadWeights(blob); err != nil {
-		return nil, fmt.Errorf("voice ta weights: %w", err)
-	}
-	return clf, nil
 }
 
 // Close implements optee.TA: the last session stops the capture stream.
@@ -384,7 +321,7 @@ func (t *VoiceTA) Close(sessionID uint32) {
 	last := t.opens == 0
 	t.mu.Unlock()
 	if last {
-		_ = t.cfg.TEE.InvokeSecure(UUIDDriverPTA, CmdPTAStop, nil)
+		_ = t.tee.InvokeSecure(UUIDDriverPTA, CmdPTAStop, nil)
 	}
 }
 
@@ -395,86 +332,19 @@ func (t *VoiceTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) err
 		if params[0].Type != optee.ValueIn {
 			return fmt.Errorf("%w: CmdProcessUtterance needs ValueIn bytes", optee.ErrBadParam)
 		}
-		rec, err := t.processUtterance(int(params[0].A))
-		if err != nil {
-			return err
-		}
-		params[1].Type = optee.ValueOut
-		if rec.Forwarded {
-			params[1].A = 1
-		}
-		params[1].B = uint64(rec.Redacted)
-		return nil
+		return t.processGroup([]int{int(params[0].A)}, &params[1])
 	case CmdProcessBatch:
-		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 || len(params[0].Buf)%4 != 0 {
-			return fmt.Errorf("%w: CmdProcessBatch needs MemrefIn of uint32 lengths", optee.ErrBadParam)
-		}
-		lengths := make([]int, len(params[0].Buf)/4)
-		if len(lengths) > MaxBatch {
-			return fmt.Errorf("%w: batch of %d exceeds MaxBatch %d", optee.ErrBadParam, len(lengths), MaxBatch)
-		}
-		for i := range lengths {
-			lengths[i] = int(binary.LittleEndian.Uint32(params[0].Buf[4*i:]))
-		}
-		recs, err := t.processBatch(lengths)
+		lengths, err := parseLengths(params[0], "CmdProcessBatch")
 		if err != nil {
 			return err
 		}
-		params[1].Type = optee.ValueOut
-		for _, rec := range recs {
-			if rec.Forwarded {
-				params[1].A++
-			}
-			params[1].B += uint64(rec.Redacted)
-		}
-		return nil
-	case CmdAttest:
-		if params[0].Type != optee.MemrefIn || len(params[0].Buf) != len(attest.Nonce{}) {
-			return fmt.Errorf("%w: CmdAttest needs a %d-byte MemrefIn nonce", optee.ErrBadParam, len(attest.Nonce{}))
-		}
-		if params[1].Type != optee.MemrefOut || params[1].Buf == nil {
-			return fmt.Errorf("%w: CmdAttest needs a MemrefOut report buffer", optee.ErrBadParam)
-		}
-		var nonce attest.Nonce
-		copy(nonce[:], params[0].Buf)
-		rep, err := t.attestReport(nonce)
-		if err != nil {
-			return err
-		}
-		blob := rep.Marshal()
-		if len(params[1].Buf) < len(blob) {
-			return fmt.Errorf("%w: report buffer %d < %d", optee.ErrBadParam, len(params[1].Buf), len(blob))
-		}
-		copy(params[1].Buf, blob)
-		params[2].Type = optee.ValueOut
-		params[2].A = uint64(len(blob))
-		return nil
-	case CmdUpdateModel:
-		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 {
-			return fmt.Errorf("%w: CmdUpdateModel needs a MemrefIn pack", optee.ErrBadParam)
-		}
-		if params[1].Type != optee.MemrefIn || len(params[1].Buf) == 0 {
-			return fmt.Errorf("%w: CmdUpdateModel needs a MemrefIn manifest", optee.ErrBadParam)
-		}
-		version, err := t.updateModel(params[0].Buf, params[1].Buf)
-		if err != nil {
-			return err
-		}
-		params[2].Type = optee.ValueOut
-		params[2].A = version
-		return nil
+		return t.processGroup(lengths, &params[1])
 	case CmdTranscribeBatch:
-		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 || len(params[0].Buf)%4 != 0 {
-			return fmt.Errorf("%w: CmdTranscribeBatch needs MemrefIn of uint32 lengths", optee.ErrBadParam)
+		lengths, err := parseLengths(params[0], "CmdTranscribeBatch")
+		if err != nil {
+			return err
 		}
-		lengths := make([]int, len(params[0].Buf)/4)
-		if len(lengths) > MaxBatch {
-			return fmt.Errorf("%w: batch of %d exceeds MaxBatch %d", optee.ErrBadParam, len(lengths), MaxBatch)
-		}
-		for i := range lengths {
-			lengths[i] = int(binary.LittleEndian.Uint32(params[0].Buf[4*i:]))
-		}
-		if err := t.transcribeBatch(lengths); err != nil {
+		if err := t.stagePending(lengths); err != nil {
 			return err
 		}
 		params[1].Type = optee.ValueOut
@@ -487,26 +357,12 @@ func (t *VoiceTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) err
 		if params[1].Type != optee.ValueIn {
 			return fmt.Errorf("%w: CmdResumeBatch needs ValueIn wait cycles", optee.ErrBadParam)
 		}
-		n := len(params[0].Buf) / 5
-		flags := make([]bool, n)
-		occs := make([]int, n)
-		for i := 0; i < n; i++ {
-			off := 5 * i
-			flags[i] = params[0].Buf[off] != 0
-			occs[i] = int(binary.LittleEndian.Uint32(params[0].Buf[off+1:]))
-		}
-		recs, err := t.resumeBatch(flags, occs, tz.Cycles(params[1].A))
+		recs, err := t.takePending(len(params[0].Buf) / 5)
 		if err != nil {
 			return err
 		}
-		params[2].Type = optee.ValueOut
-		for _, rec := range recs {
-			if rec.Forwarded {
-				params[2].A++
-			}
-			params[2].B += uint64(rec.Redacted)
-		}
-		return nil
+		t.applyVerdicts(recs, params[0].Buf, tz.Cycles(params[1].A))
+		return t.finishGroup(recs, &params[2])
 	case CmdResumeBatchHE:
 		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 {
 			return fmt.Errorf("%w: CmdResumeBatchHE needs MemrefIn ciphertext blobs", optee.ErrBadParam)
@@ -515,151 +371,33 @@ func (t *VoiceTA) Invoke(sessionID uint32, cmd uint32, params *optee.Params) err
 		if err != nil {
 			return fmt.Errorf("%w: CmdResumeBatchHE: %v", optee.ErrBadParam, err)
 		}
-		recs, err := t.resumeBatchHE(blobs)
+		recs, err := t.takePending(len(blobs))
 		if err != nil {
 			return err
 		}
-		params[1].Type = optee.ValueOut
-		for _, rec := range recs {
-			if rec.Forwarded {
-				params[1].A++
-			}
-			params[1].B += uint64(rec.Redacted)
-		}
-		return nil
-	case CmdRotateKey:
-		if params[0].Type != optee.MemrefIn || len(params[0].Buf) == 0 {
-			return fmt.Errorf("%w: CmdRotateKey needs a MemrefIn token", optee.ErrBadParam)
-		}
-		epoch, err := t.rotateKey(params[0].Buf)
-		if err != nil {
+		if err := t.classifyHE(recs, blobs); err != nil {
 			return err
 		}
-		params[1].Type = optee.ValueOut
-		params[1].A = epoch
-		return nil
+		return t.finishGroup(recs, &params[1])
 	default:
-		return fmt.Errorf("%w: ta cmd %#x", optee.ErrBadParam, cmd)
+		return t.manage(cmd, params)
 	}
 }
 
-// attestReport signs the TA's current measurement — its code digest and
-// the model-pack version it holds — over the verifier's challenge. The
-// attestor pointer is read under the TA lock: a concurrent CmdRotateKey
-// swaps it, and a report must be signed entirely under one epoch key.
-func (t *VoiceTA) attestReport(nonce attest.Nonce) (attest.Report, error) {
-	t.mu.Lock()
-	attestor := t.cfg.Attestor
-	m := attest.Measurement{Code: VoiceTADigest, ModelVersion: t.modelVersion}
-	t.mu.Unlock()
-	if attestor == nil {
-		return attest.Report{}, errors.New("voice ta: attestation not provisioned")
+// parseLengths decodes a group's MemrefIn of little-endian uint32
+// utterance byte lengths.
+func parseLengths(p optee.Param, cmd string) ([]int, error) {
+	if p.Type != optee.MemrefIn || len(p.Buf) == 0 || len(p.Buf)%4 != 0 {
+		return nil, fmt.Errorf("%w: %s needs MemrefIn of uint32 lengths", optee.ErrBadParam, cmd)
 	}
-	// HMAC evidence over the measurement (~1k cycles of SHA-256 on a
-	// NEON-class core, rounded up for the report assembly).
-	t.cfg.Clock.Advance(2000)
-	return attestor.Attest(nonce, m), nil
-}
-
-// KeyEpoch returns the key epoch the TA currently signs evidence under.
-func (t *VoiceTA) KeyEpoch() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.cfg.Attestor == nil {
-		return 0
+	lengths := make([]int, len(p.Buf)/4)
+	if len(lengths) > MaxBatch {
+		return nil, fmt.Errorf("%w: batch of %d exceeds MaxBatch %d", optee.ErrBadParam, len(lengths), MaxBatch)
 	}
-	return t.cfg.Attestor.Epoch()
-}
-
-// rotateKey redeems a key-rotation token: the token must verify under
-// the TA's current attestation key and advance the epoch by exactly one.
-// The epoch record is sealed to secure storage next to current-weights —
-// a TA restart resumes signing at the rotated epoch — and the signer is
-// swapped under the TA lock, so a concurrent attestReport signs either
-// wholly under the old epoch (honored by the verifier's grace window) or
-// wholly under the new one; in-flight work is never disturbed.
-func (t *VoiceTA) rotateKey(tokenBytes []byte) (uint64, error) {
-	tok, err := attest.UnmarshalRotationToken(tokenBytes)
-	if err != nil {
-		return 0, fmt.Errorf("voice ta rotate: %w", err)
+	for i := range lengths {
+		lengths[i] = int(binary.LittleEndian.Uint32(p.Buf[4*i:]))
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.cfg.Attestor == nil {
-		return 0, errors.New("voice ta: attestation not provisioned")
-	}
-	next, err := t.cfg.Attestor.Rotated(tok)
-	if err != nil {
-		return 0, fmt.Errorf("voice ta rotate: %w", err)
-	}
-	var rec [8]byte
-	binary.LittleEndian.PutUint64(rec[:], next.Epoch())
-	t.cfg.Storage.Put(keyEpochObjectID, rec[:])
-	// MAC verification plus one HMAC key derivation; see attestReport.
-	t.cfg.Clock.Advance(4000)
-	t.cfg.Attestor = next
-	return next.Epoch(), nil
-}
-
-// updateModel is the online-rollout sink: it authenticates a published
-// model pack against the per-device manifest, persists it through sealed
-// storage, and hot-swaps the live classifier. Swapping happens under the
-// TA lock while in-flight batches keep the classifier pointer they read
-// at classify time, so no batch is dropped or torn mid-run.
-func (t *VoiceTA) updateModel(packBytes, tokenBytes []byte) (uint64, error) {
-	if t.cfg.Attestor == nil {
-		return 0, errors.New("voice ta: attestation not provisioned")
-	}
-	pack, err := attest.DecodePack(packBytes)
-	if err != nil {
-		return 0, fmt.Errorf("voice ta update: %w", err)
-	}
-	tok, err := attest.UnmarshalManifestToken(tokenBytes)
-	if err != nil {
-		return 0, fmt.Errorf("voice ta update: %w", err)
-	}
-	if err := t.cfg.Attestor.VerifyManifest(tok, pack); err != nil {
-		return 0, fmt.Errorf("voice ta update: %w", err)
-	}
-	// With a shared classify service wired, the device never runs the
-	// pack's weights itself — the scheduler's per-version classifier
-	// does — so the per-device rebuild is skipped. The pack is still
-	// verified, sealed, and version-advanced below.
-	t.mu.Lock()
-	shared := t.remote != nil
-	t.mu.Unlock()
-	var clf *classify.Classifier
-	if t.cfg.Filter && !shared {
-		if clf, err = t.buildClassifier(pack.ModelSeed, pack.Text); err != nil {
-			return 0, fmt.Errorf("voice ta update: %w", err)
-		}
-	}
-	// Version check and install form one critical section, so two
-	// concurrent updates cannot interleave into a downgrade: the loser
-	// of the race re-checks against the winner's installed version.
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if pack.Version == t.modelVersion {
-		return t.modelVersion, nil // idempotent re-delivery
-	}
-	if pack.Version < t.modelVersion {
-		return 0, fmt.Errorf("voice ta update: %w: pack v%d older than installed v%d",
-			attest.ErrBadPack, pack.Version, t.modelVersion)
-	}
-	// Persist through sealed storage: the versioned pack for provenance,
-	// and the current-weights object the next unseal picks up.
-	t.cfg.Storage.Put(packObjectID(pack.Version), packBytes)
-	if t.cfg.Filter {
-		t.cfg.Storage.Put(weightsObjectID, pack.Text)
-		if clf != nil {
-			t.classifier = clf
-		}
-	}
-	// Charge the copy+seal of the pack through the TEE.
-	t.cfg.Clock.Advance(tz.Cycles(len(packBytes)) * t.cfg.Cost.CopyPerByte)
-	t.modelVersion = pack.Version
-	t.modelSeed = pack.ModelSeed
-	return pack.Version, nil
+	return lengths, nil
 }
 
 // taScratch is the reusable buffer set for one in-flight TA invocation:
@@ -694,7 +432,7 @@ func (t *VoiceTA) captureStage(sc *taScratch, wantBytes int) ([]byte, error) {
 			{Type: optee.MemrefOut, Buf: sc.chunk[:min(len(sc.chunk), wantBytes-len(pcmBytes))]},
 			{},
 		}
-		if err := t.cfg.TEE.InvokeSecure(UUIDDriverPTA, CmdPTARead, p); err != nil {
+		if err := t.tee.InvokeSecure(UUIDDriverPTA, CmdPTARead, p); err != nil {
 			return nil, fmt.Errorf("voice ta pta read: %w", err)
 		}
 		n := int(p[1].A)
@@ -732,91 +470,118 @@ func (t *VoiceTA) transcribeStage(sc *taScratch, pcmBytes []byte) ([]string, err
 		floats[i] = float64(int16(s)) / 32768
 	}
 	pcm := audio.PCM{Rate: 16000, Samples: floats}
-	words, err := t.cfg.Recognizer.TranscribeWords(pcm)
+	words, err := t.recognizer.TranscribeWords(pcm)
 	if err != nil {
 		return nil, fmt.Errorf("voice ta asr: %w", err)
 	}
 	frames := len(pcm.Samples) / 160
-	t.cfg.Clock.Advance(tz.Cycles(frames)*6000 + tz.Cycles(t.cfg.Recognizer.MemoryBytes()/8))
+	t.clock.Advance(tz.Cycles(frames)*6000 + tz.Cycles(t.recognizer.MemoryBytes()/8))
 	return words, nil
 }
 
-// loadedClassifier returns the live classifier, unsealing it from
-// secure storage on first use (an installed rollout pack takes
-// precedence: updateModel swaps the pointer directly).
-func (t *VoiceTA) loadedClassifier() (*classify.Classifier, error) {
-	t.mu.Lock()
-	clf := t.classifier
-	seed := t.modelSeed
-	t.mu.Unlock()
-	if clf != nil {
-		return clf, nil
+// stageGroup captures and transcribes one queued group (Fig. 1 steps
+// 4–5). One pooled scratch set serves the whole group: capture and
+// decode buffers are recycled item to item, so a batch does not allocate
+// per utterance.
+func (t *VoiceTA) stageGroup(lengths []int) ([]ProcessedUtterance, error) {
+	recs := make([]ProcessedUtterance, len(lengths))
+	sc := taScratchPool.Get().(*taScratch)
+	defer taScratchPool.Put(sc)
+	for i, wantBytes := range lengths {
+		start := t.clock.Now()
+		pcmBytes, err := t.captureStage(sc, wantBytes)
+		if err != nil {
+			return nil, fmt.Errorf("utterance %d: %w", i, err)
+		}
+		recs[i].Stages.Capture = t.clock.Now() - start
+
+		start = t.clock.Now()
+		if recs[i].Transcript, err = t.transcribeStage(sc, pcmBytes); err != nil {
+			return nil, fmt.Errorf("utterance %d: %w", i, err)
+		}
+		recs[i].Stages.Transcribe = t.clock.Now() - start
 	}
-	if !t.cfg.Filter {
-		return nil, errors.New("voice ta: classifier disabled (no-filter mode)")
-	}
-	blob, err := t.cfg.Storage.Get(weightsObjectID)
-	if err != nil {
-		return nil, fmt.Errorf("voice ta weights: %w", err)
-	}
-	built, err := t.buildClassifier(seed, blob)
-	if err != nil {
-		return nil, err
-	}
-	t.mu.Lock()
-	if t.classifier == nil {
-		t.classifier = built
-	}
-	clf = t.classifier
-	t.mu.Unlock()
-	return clf, nil
+	return recs, nil
 }
 
-// classifyStage runs the ML filter over a batch of transcripts and
-// reports the occupancy of the forward pass that served it. On the local
+// processGroup runs a group through all three steps in one invocation:
+// the caller paid one world-switch round trip for the whole group.
+func (t *VoiceTA) processGroup(lengths []int, out *optee.Param) error {
+	recs, err := t.stageGroup(lengths)
+	if err != nil {
+		return err
+	}
+	if err := t.classifyGroup(recs); err != nil {
+		return err
+	}
+	return t.finishGroup(recs, out)
+}
+
+// classifyGroup runs the ML filter over a staged group in one forward
+// pass and attributes the pass evenly: it is shared work. On the local
 // path that is one pass over the device's own queue, charged at 4
 // MACs/cycle (NEON-class SIMD) per sample; with a shared classify
 // service wired, the encoded tokens ride a cross-device batch and the
 // device is charged the scheduler's queue wait plus its share of the
-// shared pass instead.
-func (t *VoiceTA) classifyStage(transcripts [][]string) ([]bool, int, error) {
+// shared pass instead. A no-filter TA skips the step.
+func (t *VoiceTA) classifyGroup(recs []ProcessedUtterance) error {
+	if !t.filter {
+		return nil
+	}
+	start := t.clock.Now()
+	flags, occupancy, err := t.classifyStage(recs)
+	if err != nil {
+		return err
+	}
+	spent := t.clock.Now() - start
+	for i := range recs {
+		recs[i].Flagged = flags[i]
+		recs[i].ClassifyBatch = occupancy
+		recs[i].Stages.Classify = spent / tz.Cycles(len(recs))
+	}
+	return nil
+}
+
+// classifyStage returns the group's verdicts and the occupancy of the
+// forward pass that served it.
+func (t *VoiceTA) classifyStage(recs []ProcessedUtterance) ([]bool, int, error) {
 	t.mu.Lock()
 	remote, device, version := t.remote, t.remoteDevice, t.modelVersion
 	t.mu.Unlock()
 	if remote != nil {
-		tokens := make([][]int, len(transcripts))
-		for i, words := range transcripts {
-			tokens[i] = t.cfg.Vocab.Encode(words)
+		tokens := make([][]int, len(recs))
+		for i := range recs {
+			tokens[i] = t.vocab.Encode(recs[i].Transcript)
 		}
 		resp, err := remote.ClassifyBatch(ClassifyRequest{
 			DeviceID:     device,
 			ModelVersion: version,
 			Tokens:       tokens,
-			Now:          t.cfg.Clock.Now(),
+			Now:          t.clock.Now(),
 		})
 		if err != nil {
 			return nil, 0, fmt.Errorf("voice ta classify (shared): %w", err)
 		}
-		if len(resp.Flagged) != len(transcripts) {
+		if len(resp.Flagged) != len(recs) {
 			return nil, 0, fmt.Errorf("voice ta classify (shared): %d flags for %d transcripts",
-				len(resp.Flagged), len(transcripts))
+				len(resp.Flagged), len(recs))
 		}
-		t.cfg.Clock.Advance(resp.Wait)
+		t.clock.Advance(resp.Wait)
 		return resp.Flagged, resp.Occupancy, nil
 	}
 	clf, err := t.loadedClassifier()
 	if err != nil {
 		return nil, 0, err
 	}
-	batch := make([][]float32, len(transcripts))
-	for i, words := range transcripts {
-		batch[i] = clf.TokensToFeatures(t.cfg.Vocab.Encode(words))
+	batch := make([][]float32, len(recs))
+	for i := range recs {
+		batch[i] = clf.TokensToFeatures(t.vocab.Encode(recs[i].Transcript))
 	}
 	classes, err := clf.PredictBatch(batch)
 	if err != nil {
 		return nil, 0, fmt.Errorf("voice ta classify: %w", err)
 	}
-	t.cfg.Clock.Advance(tz.Cycles(clf.EstimateMACs() * len(batch) / 4))
+	t.clock.Advance(tz.Cycles(clf.EstimateMACs() * len(batch) / 4))
 	flagged := make([]bool, len(classes))
 	for i, cls := range classes {
 		flagged[i] = cls == 1
@@ -824,15 +589,74 @@ func (t *VoiceTA) classifyStage(transcripts [][]string) ([]bool, int, error) {
 	return flagged, len(batch), nil
 }
 
-// relayStage applies the filter policy and, when forwarding, seals the
-// event and relays it through the supplicant, verifying the cloud's
-// sealed directive (Fig. 1 steps 6–7).
-func (t *VoiceTA) relayStage(words []string, flagged bool, rec *ProcessedUtterance) error {
-	policy := t.cfg.Policy
-	if !t.cfg.Filter {
+// applyVerdicts is the classify step of a staged group the shared
+// classifier served: verdicts holds 5 bytes per item (flag byte plus
+// little-endian uint32 flush occupancy), and wait is the virtual cycles
+// the classification waited (the shared passes overlapped — the wait is
+// when the last one returned). The wait is charged and attributed evenly,
+// mirroring the inline batched pass.
+func (t *VoiceTA) applyVerdicts(recs []ProcessedUtterance, verdicts []byte, wait tz.Cycles) {
+	t.clock.Advance(wait)
+	for i := range recs {
+		v := verdicts[5*i:]
+		recs[i].Flagged = v[0] != 0
+		recs[i].ClassifyBatch = int(binary.LittleEndian.Uint32(v[1:]))
+		recs[i].Stages.Classify = wait / tz.Cycles(len(recs))
+	}
+}
+
+// classifyHE is the classify step of the HE→TEE handoff: the
+// classifier's first linear layer already ran homomorphically at the
+// provider, and the TA decrypts each provider-evaluated ciphertext under
+// the sealed secret key and runs the non-linear tail (ReLU → pool →
+// dense → argmax) inside the TEE.
+func (t *VoiceTA) classifyHE(recs []ProcessedUtterance, blobs [][]byte) error {
+	h, err := t.openHandoff()
+	if err != nil {
+		return err
+	}
+	for i := range recs {
+		start := t.clock.Now()
+		if recs[i].Flagged, err = h.verdict(blobs[i]); err != nil {
+			return fmt.Errorf("utterance %d: %w", i, err)
+		}
+		recs[i].ClassifyBatch = len(recs)
+		recs[i].Stages.Classify = t.clock.Now() - start
+	}
+	return nil
+}
+
+// finishGroup relays each record of a classified group, records the
+// group, and reports A=forwarded count, B=redacted tokens in out.
+func (t *VoiceTA) finishGroup(recs []ProcessedUtterance, out *optee.Param) error {
+	for i := range recs {
+		start := t.clock.Now()
+		if err := t.relayStage(&recs[i]); err != nil {
+			return fmt.Errorf("utterance %d: %w", i, err)
+		}
+		recs[i].Stages.Relay = t.clock.Now() - start
+	}
+	t.mu.Lock()
+	t.processed = append(t.processed, recs...)
+	t.mu.Unlock()
+	*out = optee.Param{Type: optee.ValueOut}
+	for _, rec := range recs {
+		if rec.Forwarded {
+			out.A++
+		}
+		out.B += uint64(rec.Redacted)
+	}
+	return nil
+}
+
+// relayStage applies the filter policy and forwards the sanitized
+// transcript through the shared relay send.
+func (t *VoiceTA) relayStage(rec *ProcessedUtterance) error {
+	policy := t.policy
+	if !t.filter {
 		policy = relay.PolicyPassThrough
 	}
-	result, err := relay.ApplyPolicy(policy, flagged, words)
+	result, err := relay.ApplyPolicy(policy, rec.Flagged, rec.Transcript)
 	if err != nil {
 		return err
 	}
@@ -841,246 +665,52 @@ func (t *VoiceTA) relayStage(words []string, flagged bool, rec *ProcessedUtteran
 	if !result.Forward {
 		return nil
 	}
-	t.mu.Lock()
-	t.messageID++
-	mid := t.messageID
-	t.mu.Unlock()
-	payload, err := relay.EncodeEvent(relay.Event{
+	out, err := t.send(relay.Event{
 		Namespace:  relay.NamespaceSpeech,
 		Name:       relay.NameTranscript,
-		MessageID:  mid,
 		Transcript: result.Tokens,
 		Redacted:   result.Redacted,
 	})
-	if err != nil {
-		return err
-	}
-	sealed := t.channel.Seal(payload)
-	rec.SealedSize = len(sealed)
-	resp, err := t.cfg.TEE.RPC(optee.RPCRequest{
-		Kind:    optee.RPCNetSend,
-		Target:  CloudTarget,
-		Payload: sealed,
-	})
-	if err != nil {
-		// The frontend shed the frame under queue pressure: a retriable
-		// network drop, not a session fault. There is no directive to
-		// verify; the TA records the shed and moves on.
-		if errors.Is(err, cloud.ErrShed) {
-			rec.Shed = true
-			return nil
-		}
-		// The retry layer exhausted its budget: the frame expired. Same
-		// contract as a shed — emitted, paid for, explicitly not delivered.
-		if errors.Is(err, cloud.ErrExpired) {
-			rec.Expired = true
-			return nil
-		}
-		return fmt.Errorf("voice ta relay: %w", err)
-	}
-	if _, err := t.channel.Open(resp.Payload); err != nil {
-		return fmt.Errorf("voice ta directive: %w", err)
-	}
-	return nil
+	rec.SealedSize, rec.Shed, rec.Expired = out.sealedSize, out.shed, out.expired
+	return err
 }
 
-// processUtterance is the Fig. 1 steps 4–7 inside the secure world.
-func (t *VoiceTA) processUtterance(wantBytes int) (ProcessedUtterance, error) {
-	var rec ProcessedUtterance
-	clock := t.cfg.Clock
-	sc := taScratchPool.Get().(*taScratch)
-	defer taScratchPool.Put(sc)
-
-	start := clock.Now()
-	pcmBytes, err := t.captureStage(sc, wantBytes)
-	if err != nil {
-		return rec, err
-	}
-	rec.Stages.Capture = clock.Now() - start
-
-	start = clock.Now()
-	words, err := t.transcribeStage(sc, pcmBytes)
-	if err != nil {
-		return rec, err
-	}
-	rec.Transcript = words
-	rec.Stages.Transcribe = clock.Now() - start
-
-	start = clock.Now()
-	flagged := false
-	if t.cfg.Filter {
-		flags, occupancy, err := t.classifyStage([][]string{words})
-		if err != nil {
-			return rec, err
-		}
-		flagged = flags[0]
-		rec.ClassifyBatch = occupancy
-	}
-	rec.Flagged = flagged
-	rec.Stages.Classify = clock.Now() - start
-
-	start = clock.Now()
-	if err := t.relayStage(words, flagged, &rec); err != nil {
-		return rec, err
-	}
-	rec.Stages.Relay = clock.Now() - start
-
-	t.mu.Lock()
-	t.processed = append(t.processed, rec)
-	t.mu.Unlock()
-	return rec, nil
-}
-
-// processBatch drains a queue of utterances in one invocation: capture
-// and transcribe each, classify them all in one batched forward pass,
-// then relay the survivors. The caller paid one world-switch round trip
-// for the whole batch instead of one per utterance.
-func (t *VoiceTA) processBatch(lengths []int) ([]ProcessedUtterance, error) {
-	clock := t.cfg.Clock
-	recs := make([]ProcessedUtterance, len(lengths))
-	transcripts := make([][]string, len(lengths))
-	// One pooled scratch set serves the whole batch: capture and decode
-	// buffers are recycled item to item, so batched classification does
-	// not allocate per utterance.
-	sc := taScratchPool.Get().(*taScratch)
-	defer taScratchPool.Put(sc)
-
-	for i, wantBytes := range lengths {
-		start := clock.Now()
-		pcmBytes, err := t.captureStage(sc, wantBytes)
-		if err != nil {
-			return nil, fmt.Errorf("batch utterance %d: %w", i, err)
-		}
-		recs[i].Stages.Capture = clock.Now() - start
-
-		start = clock.Now()
-		words, err := t.transcribeStage(sc, pcmBytes)
-		if err != nil {
-			return nil, fmt.Errorf("batch utterance %d: %w", i, err)
-		}
-		transcripts[i] = words
-		recs[i].Transcript = words
-		recs[i].Stages.Transcribe = clock.Now() - start
-	}
-
-	if t.cfg.Filter {
-		start := clock.Now()
-		flags, occupancy, err := t.classifyStage(transcripts)
-		if err != nil {
-			return nil, err
-		}
-		spent := clock.Now() - start
-		for i := range recs {
-			recs[i].Flagged = flags[i]
-			recs[i].ClassifyBatch = occupancy
-			// The batched forward pass is shared work; attribute it evenly.
-			recs[i].Stages.Classify = spent / tz.Cycles(len(recs))
-		}
-	}
-
-	for i := range recs {
-		start := clock.Now()
-		if err := t.relayStage(transcripts[i], recs[i].Flagged, &recs[i]); err != nil {
-			return nil, fmt.Errorf("batch utterance %d: %w", i, err)
-		}
-		recs[i].Stages.Relay = clock.Now() - start
-	}
-
-	t.mu.Lock()
-	t.processed = append(t.processed, recs...)
-	t.mu.Unlock()
-	return recs, nil
-}
-
-// transcribeBatch is the front half of processBatch: capture and
-// transcribe each queued utterance and stage the encoded tokens for an
-// external classification, leaving the invocation parked instead of
-// running the filter inline. The split is what lets an event-driven
-// caller release its executor while a cross-device flush forms.
-func (t *VoiceTA) transcribeBatch(lengths []int) error {
-	if !t.cfg.Filter {
+// stagePending is CmdTranscribeBatch: stage a group and park it for an
+// external classification, which is what lets an event-driven caller
+// release its executor while a cross-device flush forms.
+func (t *VoiceTA) stagePending(lengths []int) error {
+	if !t.filter {
 		return errors.New("voice ta: staged transcribe requires the filter")
 	}
 	t.mu.Lock()
-	busy := len(t.pendingRecs) > 0
+	busy := len(t.pending) > 0
 	t.mu.Unlock()
 	if busy {
 		return errors.New("voice ta: staged batch already pending")
 	}
-	clock := t.cfg.Clock
-	recs := make([]ProcessedUtterance, len(lengths))
-	transcripts := make([][]string, len(lengths))
-	tokens := make([][]int, len(lengths))
-	sc := taScratchPool.Get().(*taScratch)
-	defer taScratchPool.Put(sc)
-
-	for i, wantBytes := range lengths {
-		start := clock.Now()
-		pcmBytes, err := t.captureStage(sc, wantBytes)
-		if err != nil {
-			return fmt.Errorf("staged utterance %d: %w", i, err)
-		}
-		recs[i].Stages.Capture = clock.Now() - start
-
-		start = clock.Now()
-		words, err := t.transcribeStage(sc, pcmBytes)
-		if err != nil {
-			return fmt.Errorf("staged utterance %d: %w", i, err)
-		}
-		transcripts[i] = words
-		recs[i].Transcript = words
-		recs[i].Stages.Transcribe = clock.Now() - start
-		tokens[i] = t.cfg.Vocab.Encode(words)
+	recs, err := t.stageGroup(lengths)
+	if err != nil {
+		return err
 	}
-
 	t.mu.Lock()
-	t.pendingRecs = recs
-	t.pendingTranscripts = transcripts
-	t.pendingTokens = tokens
+	t.pending = recs
 	t.mu.Unlock()
 	return nil
 }
 
-// resumeBatch is the back half of processBatch for a staged group: the
-// caller brings the per-item verdicts and flush occupancies the shared
-// classifier computed plus the virtual cycles the classification waited
-// (the shared passes overlapped — the wait is when the last one
-// returned). The TA charges the wait, attributes it evenly like the
-// inline batched pass, relays survivors, and clears the staged state.
-func (t *VoiceTA) resumeBatch(flags []bool, occs []int, wait tz.Cycles) ([]ProcessedUtterance, error) {
+// takePending clears the staged group and returns it for completion
+// with n results.
+func (t *VoiceTA) takePending(n int) ([]ProcessedUtterance, error) {
 	t.mu.Lock()
-	recs := t.pendingRecs
-	transcripts := t.pendingTranscripts
-	t.pendingRecs, t.pendingTranscripts, t.pendingTokens = nil, nil, nil
+	recs := t.pending
+	t.pending = nil
 	t.mu.Unlock()
 	if len(recs) == 0 {
 		return nil, errors.New("voice ta: no staged batch pending")
 	}
-	if len(flags) != len(recs) || len(occs) != len(recs) {
-		return nil, fmt.Errorf("voice ta resume: %d flags / %d occupancies for %d pending",
-			len(flags), len(occs), len(recs))
+	if n != len(recs) {
+		return nil, fmt.Errorf("voice ta resume: %d results for %d pending", n, len(recs))
 	}
-	clock := t.cfg.Clock
-	clock.Advance(wait)
-	for i := range recs {
-		recs[i].Flagged = flags[i]
-		recs[i].ClassifyBatch = occs[i]
-		// The shared classification is batch-level work; attribute it
-		// evenly, mirroring the inline batched pass.
-		recs[i].Stages.Classify = wait / tz.Cycles(len(recs))
-	}
-
-	for i := range recs {
-		start := clock.Now()
-		if err := t.relayStage(transcripts[i], recs[i].Flagged, &recs[i]); err != nil {
-			return nil, fmt.Errorf("staged utterance %d: %w", i, err)
-		}
-		recs[i].Stages.Relay = clock.Now() - start
-	}
-
-	t.mu.Lock()
-	t.processed = append(t.processed, recs...)
-	t.mu.Unlock()
 	return recs, nil
 }
 
@@ -1093,10 +723,8 @@ func packLengthPrefixed(blobs [][]byte) []byte {
 		size += 4 + len(b)
 	}
 	out := make([]byte, 0, size)
-	var hdr [4]byte
 	for _, b := range blobs {
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(b)))
-		out = append(out, hdr[:]...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(b)))
 		out = append(out, b...)
 	}
 	return out
@@ -1123,108 +751,18 @@ func splitLengthPrefixed(buf []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// heDecryptState unseals the HE secret key and builds the in-TA
-// evaluator. Both are cheap value types; the seal read is the
-// expensive part and happens per handoff, mirroring how the weights
-// object is the unit of sealed-storage traffic.
-func (t *VoiceTA) heDecryptState() (he.SecretKey, *he.Evaluator, error) {
-	if !t.cfg.Hybrid {
-		return he.SecretKey{}, nil, errors.New("voice ta: HE handoff outside hybrid mode")
-	}
-	blob, err := t.cfg.Storage.Get(heSecretKeyID)
-	if err != nil {
-		return he.SecretKey{}, nil, fmt.Errorf("voice ta he key: %w", err)
-	}
-	sk, err := he.ParseSecretKey(blob)
-	if err != nil {
-		return he.SecretKey{}, nil, fmt.Errorf("voice ta he key: %w", err)
-	}
-	eval, err := he.NewEvaluator(t.cfg.HEParams, t.cfg.Clock, t.cfg.Cost)
-	if err != nil {
-		return he.SecretKey{}, nil, fmt.Errorf("voice ta he eval: %w", err)
-	}
-	return sk, eval, nil
-}
-
-// resumeBatchHE is the HE→TEE handoff: the back half of a staged batch
-// where the classifier's first linear layer already ran homomorphically
-// at the provider. The TA decrypts each provider-evaluated ciphertext
-// under the sealed secret key, runs the non-linear tail (ReLU → pool →
-// dense → argmax) inside the TEE, then relays survivors through the
-// same policy/seal path as every other mode.
-func (t *VoiceTA) resumeBatchHE(blobs [][]byte) ([]ProcessedUtterance, error) {
-	t.mu.Lock()
-	recs := t.pendingRecs
-	transcripts := t.pendingTranscripts
-	t.pendingRecs, t.pendingTranscripts, t.pendingTokens = nil, nil, nil
-	t.mu.Unlock()
-	if len(recs) == 0 {
-		return nil, errors.New("voice ta: no staged batch pending")
-	}
-	if len(blobs) != len(recs) {
-		return nil, fmt.Errorf("voice ta he resume: %d ciphertexts for %d pending", len(blobs), len(recs))
-	}
-	sk, eval, err := t.heDecryptState()
-	if err != nil {
-		return nil, err
-	}
-	clf, err := t.loadedClassifier()
-	if err != nil {
-		return nil, err
-	}
-	split, err := classify.SplitText(clf)
-	if err != nil {
-		return nil, fmt.Errorf("voice ta he split: %w", err)
-	}
-	clock := t.cfg.Clock
-	tailMACs := 2 * layers.ParamCount([]layers.Layer{split.Tail})
-	for i := range recs {
-		start := clock.Now()
-		ct, err := eval.Unmarshal(blobs[i])
-		if err != nil {
-			return nil, fmt.Errorf("staged utterance %d: %w", i, err)
-		}
-		data, shape, err := eval.Decrypt(sk, ct)
-		if err != nil {
-			return nil, fmt.Errorf("staged utterance %d: %w", i, err)
-		}
-		cls, err := split.TailPredict(data, shape)
-		if err != nil {
-			return nil, fmt.Errorf("staged utterance %d: %w", i, err)
-		}
-		// The tail forward runs at the same 4 MACs/cycle as the inline
-		// classify path; the decrypt was charged by the evaluator.
-		clock.Advance(tz.Cycles(tailMACs / 4))
-		recs[i].Flagged = cls == 1
-		recs[i].ClassifyBatch = len(recs)
-		recs[i].Stages.Classify = clock.Now() - start
-	}
-
-	for i := range recs {
-		start := clock.Now()
-		if err := t.relayStage(transcripts[i], recs[i].Flagged, &recs[i]); err != nil {
-			return nil, fmt.Errorf("staged utterance %d: %w", i, err)
-		}
-		recs[i].Stages.Relay = clock.Now() - start
-	}
-
-	t.mu.Lock()
-	t.processed = append(t.processed, recs...)
-	t.mu.Unlock()
-	return recs, nil
-}
-
-// PendingTokens returns copies of the encoded token sequences staged by
-// CmdTranscribeBatch and awaiting classification (empty when nothing is
-// pending). Token IDs are exactly what classifyStage submits to a shared
-// classify service — vocabulary-clamped in the TA, never transcript
-// words — so handing them to the scheduler keeps the trust boundary.
+// PendingTokens returns the encoded token sequences of the group staged
+// by CmdTranscribeBatch and awaiting classification (empty when nothing
+// is pending). Token IDs are exactly what classifyStage submits to a
+// shared classify service — vocabulary-clamped in the TA, never
+// transcript words — so handing them to the scheduler keeps the trust
+// boundary.
 func (t *VoiceTA) PendingTokens() [][]int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([][]int, len(t.pendingTokens))
-	for i, seq := range t.pendingTokens {
-		out[i] = append([]int(nil), seq...)
+	out := make([][]int, len(t.pending))
+	for i := range t.pending {
+		out[i] = t.vocab.Encode(t.pending[i].Transcript)
 	}
 	return out
 }
