@@ -9,6 +9,7 @@
 package audio
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -124,12 +125,16 @@ func FromInt16(rate int, samples []int16) PCM {
 	return PCM{Rate: rate, Samples: out}
 }
 
+// ErrBadPCM16 is returned for a PCM16 payload that is not a whole
+// number of 16-bit samples.
+var ErrBadPCM16 = errors.New("audio: malformed PCM16 payload")
+
 // DecodePCM16Into decodes a little-endian 16-bit wire payload into dst's
 // capacity (grown when needed), applying the FromInt16 scaling. It is
 // the shared scratch-reusing decode for provider-side ingest paths.
 func DecodePCM16Into(dst []float64, payload []byte) ([]float64, error) {
 	if len(payload)%2 != 0 {
-		return nil, fmt.Errorf("audio: odd PCM16 payload %d", len(payload))
+		return nil, fmt.Errorf("%w: odd length %d", ErrBadPCM16, len(payload))
 	}
 	n := len(payload) / 2
 	if cap(dst) < n {

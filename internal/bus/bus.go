@@ -149,10 +149,9 @@ func (b *Bus) Devices() []string {
 // FIFOSource is a device-side byte producer a DMA channel can drain
 // (e.g. the I2S controller's receive FIFO).
 type FIFOSource interface {
-	// PopBytes removes up to n bytes from the FIFO.
-	PopBytes(n int) []byte
-	// BytesAvailable reports how many bytes can currently be popped.
-	BytesAvailable() int
+	// PopInto moves up to len(dst) bytes from the FIFO into dst and
+	// returns the count.
+	PopInto(dst []byte) int
 }
 
 // DMAStats summarizes engine activity.
@@ -181,13 +180,23 @@ func NewDMA(clock *tz.Clock, cost tz.CostModel, mem *memory.PhysMem) *DMA {
 	return &DMA{clock: clock, cost: cost, mem: mem}
 }
 
+// bouncePool holds *[]byte staging buffers for FromDevice: the FIFO
+// drains into one, RAM is written from it, and it goes back before the
+// transfer returns, so no caller ever sees or retains it.
+var bouncePool = sync.Pool{New: func() any { return new([]byte) }}
+
 // FromDevice drains up to n bytes from src into RAM at dst on behalf of
 // world w. It returns the number of bytes actually transferred.
 func (d *DMA) FromDevice(w tz.World, src FIFOSource, dst uint64, n int) (int, error) {
 	if n <= 0 {
 		return 0, nil
 	}
-	data := src.PopBytes(n)
+	bounce := bouncePool.Get().(*[]byte)
+	defer bouncePool.Put(bounce)
+	if cap(*bounce) < n {
+		*bounce = make([]byte, n)
+	}
+	data := (*bounce)[:src.PopInto((*bounce)[:n])]
 	if len(data) == 0 {
 		return 0, nil
 	}

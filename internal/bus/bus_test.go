@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/memory"
+	"repro/internal/raceflag"
 	"repro/internal/tz"
 )
 
@@ -130,16 +131,11 @@ func TestBusDevices(t *testing.T) {
 // sliceFIFO implements FIFOSource over a byte slice.
 type sliceFIFO struct{ data []byte }
 
-func (s *sliceFIFO) PopBytes(n int) []byte {
-	if n > len(s.data) {
-		n = len(s.data)
-	}
-	out := s.data[:n]
+func (s *sliceFIFO) PopInto(dst []byte) int {
+	n := copy(dst, s.data)
 	s.data = s.data[n:]
-	return out
+	return n
 }
-
-func (s *sliceFIFO) BytesAvailable() int { return len(s.data) }
 
 func dmaFixture(t *testing.T) (*DMA, *memory.Platform, *tz.Clock) {
 	t.Helper()
@@ -234,5 +230,33 @@ func TestDMAToDevice(t *testing.T) {
 	// Reading playback data from secure RAM as normal world must fault.
 	if _, err := d.ToDevice(tz.WorldNormal, p.Layout.SecureBase, func(b []byte) int { return len(b) }, 4); !errors.Is(err, tz.ErrSecurityViolation) {
 		t.Errorf("ToDevice from secure RAM = %v, want violation", err)
+	}
+}
+
+// A steady-state DMA drain allocates nothing: the bounce buffer comes
+// from the pool and the RAM pages are already mapped.
+func TestDMAFromDeviceAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	d, p, _ := dmaFixture(t)
+	backing := make([]byte, 3*4096)
+	src := &sliceFIFO{}
+	dst := p.Layout.DRAMBase + 0x4000
+	round := func() {
+		src.data = backing
+		for {
+			n, err := d.FromDevice(tz.WorldNormal, src, dst, 4096)
+			if err != nil {
+				t.Fatalf("FromDevice: %v", err)
+			}
+			if n == 0 {
+				return
+			}
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("FromDevice allocates %.1f times per round, want 0", allocs)
 	}
 }

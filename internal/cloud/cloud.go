@@ -194,8 +194,11 @@ type PlainService struct {
 	mu         sync.Mutex
 	recognizer Transcriber
 	observed   []Observation
-	decodeBuf  []float64 // per-service decode scratch (guarded by mu)
 }
+
+// decodePool holds *[]float64 PCM decode buffers, borrowed for one
+// PlainService.Deliver call.
+var decodePool = sync.Pool{New: func() any { return new([]float64) }}
 
 // NewPlainService creates the baseline backend. The recognizer stands in
 // for the provider's server-side ASR; callers train it on the experiment
@@ -211,13 +214,14 @@ var _ supplicant.NetSink = (*PlainService)(nil)
 // carry scratch state, and the lock serializes them even if a shard
 // pool ever delivers two of a device's frames concurrently.
 func (p *PlainService) Deliver(payload []byte) ([]byte, error) {
-	p.mu.Lock()
-	floats, err := audio.DecodePCM16Into(p.decodeBuf, payload)
+	buf := decodePool.Get().(*[]float64)
+	defer decodePool.Put(buf)
+	floats, err := audio.DecodePCM16Into(*buf, payload)
 	if err != nil {
-		p.mu.Unlock()
 		return nil, err
 	}
-	p.decodeBuf = floats
+	*buf = floats[:0]
+	p.mu.Lock()
 	pcm := audio.PCM{Rate: 16000, Samples: floats}
 	tokens, err := p.recognizer.TranscribeWords(pcm)
 	if err != nil {

@@ -271,15 +271,6 @@ type System struct {
 
 	radioBytes uint64
 	mu         sync.Mutex
-
-	// Session scratch: utterances are synthesized, captured and encoded
-	// one at a time per system, so these buffers are reused across the
-	// whole run (the mic and the uplink both copy what they consume).
-	synthBuf     []float64
-	baseCaptured []byte
-	baseRead     []byte
-	baseSamples  []int32
-	basePayload  []byte
 }
 
 // trainedWeights memoizes classifier pre-training per (arch, seed, epochs):

@@ -50,14 +50,10 @@ func resumeHE(t *testing.T, sys *System, blob []byte) error {
 		t.Fatal(err)
 	}
 	defer func() { _ = ctx.FinalizeContext() }()
-	pcm := sys.utteranceAudio(0, testUtterances()[0])
-	sys.Mic.Load(pcm)
-	for {
-		if _, err := sys.Mic.PumpBytes(8192); err != nil {
-			break
-		}
+	lens, err := sys.queueGroup(0, testUtterances()[:1])
+	if err != nil {
+		t.Fatal(err)
 	}
-	lens := binary.LittleEndian.AppendUint32(nil, uint32(len(pcm.Samples)*2))
 	if err := sess.InvokeCommand(CmdTranscribeBatch, &optee.Params{{Type: optee.MemrefIn, Buf: lens}, {}}); err != nil {
 		t.Fatal(err)
 	}

@@ -32,11 +32,9 @@ func TestUtteranceAudioVariesAcrossIndexButDeterministic(t *testing.T) {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	u := sensitive.Utterance{Words: []string{"play", "music"}}
-	// utteranceAudio returns scratch-backed PCM valid until the next
-	// call; retain copies to compare renditions.
-	a := sys.utteranceAudio(0, u).Clone()
-	b := sys.utteranceAudio(1, u).Clone()
-	c := sys.utteranceAudio(0, u)
+	a := sys.utteranceAudio(nil, 0, u)
+	b := sys.utteranceAudio(nil, 1, u)
+	c := sys.utteranceAudio(nil, 0, u)
 	if len(a.Samples) != len(b.Samples) {
 		t.Fatal("lengths differ")
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/audio"
 	"repro/internal/cloud"
@@ -261,24 +262,41 @@ func (s *System) emitUtteranceSpans(start tz.Cycles, rec ProcessedUtterance, bat
 	}
 }
 
+// baseScratch is the baseline app's buffer set for one utterance: the
+// captured wire bytes, the read chunk, the decoded samples and the PCM16
+// payload. Pooled like taScratch, and borrowed for one
+// runBaselineUtterance call, so a fleet of short-lived baseline devices
+// shares a few sets instead of each growing its own.
+type baseScratch struct {
+	captured []byte
+	read     []byte
+	samples  []int32
+	payload  []byte
+}
+
+var baseScratchPool = sync.Pool{New: func() any { return new(baseScratch) }}
+
 // runBaselineUtterance: mic -> untrusted driver -> user app -> raw audio
 // to the cloud, which transcribes server-side.
 func (s *System) runBaselineUtterance(fd int, i int, u sensitive.Utterance) (UtteranceOutcome, error) {
 	out := UtteranceOutcome{Truth: u}
 	start := s.Clock.Now()
 
-	pcm := s.utteranceAudio(i, u)
-	wantBytes := len(pcm.Samples) * 2
-	s.Mic.Load(pcm)
+	wantBytes, err := s.loadUtterance(i, u)
+	if err != nil {
+		return out, err
+	}
 
-	if cap(s.baseCaptured) < wantBytes {
-		s.baseCaptured = make([]byte, 0, wantBytes)
+	sc := baseScratchPool.Get().(*baseScratch)
+	defer baseScratchPool.Put(sc)
+	if cap(sc.captured) < wantBytes {
+		sc.captured = make([]byte, 0, wantBytes)
 	}
-	captured := s.baseCaptured[:0]
-	if cap(s.baseRead) < s.cfg.BufBytes {
-		s.baseRead = make([]byte, s.cfg.BufBytes)
+	captured := sc.captured[:0]
+	if cap(sc.read) < s.cfg.BufBytes {
+		sc.read = make([]byte, s.cfg.BufBytes)
 	}
-	buf := s.baseRead[:s.cfg.BufBytes]
+	buf := sc.read[:s.cfg.BufBytes]
 	idle := 0
 	for len(captured) < wantBytes {
 		if _, err := s.Mic.PumpBytes(min(wantBytes-len(captured)+4096, 8192)); err != nil {
@@ -304,17 +322,18 @@ func (s *System) runBaselineUtterance(fd int, i int, u sensitive.Utterance) (Utt
 	// audio; charge radio bytes and per-byte CPU cost. The historical
 	// path decoded to float64 and re-quantized through EncodePCM16; the
 	// round trip is exact for 16-bit samples, so the payload is built
-	// from the decoded samples directly, into reusable scratch.
-	s.baseCaptured = captured
-	samples, err := i2s.DecodeFramesInto(s.baseSamples, captured, i2s.DefaultFormat())
+	// from the decoded samples directly, into pooled scratch (the uplink
+	// has finished with the payload when Deliver returns).
+	sc.captured = captured
+	samples, err := i2s.DecodeFramesInto(sc.samples, captured, i2s.DefaultFormat())
 	if err != nil {
 		return out, fmt.Errorf("baseline decode: %w", err)
 	}
-	s.baseSamples = samples
-	if cap(s.basePayload) < len(samples)*2 {
-		s.basePayload = make([]byte, len(samples)*2)
+	sc.samples = samples
+	if cap(sc.payload) < len(samples)*2 {
+		sc.payload = make([]byte, len(samples)*2)
 	}
-	payload := s.basePayload[:len(samples)*2]
+	payload := sc.payload[:len(samples)*2]
 	for j, v := range samples {
 		u := uint16(int16(v))
 		payload[2*j] = byte(u)
@@ -361,19 +380,31 @@ func (s *System) runBaselineUtterance(fd int, i int, u sensitive.Utterance) (Utt
 // mic appends signals; the big controller FIFO stands in for real-time
 // pacing, see NewSystem) and returns the TA's MemrefIn of little-endian
 // uint32 utterance byte lengths.
-func (s *System) queueGroup(lo int, group []sensitive.Utterance) []byte {
+func (s *System) queueGroup(lo int, group []sensitive.Utterance) ([]byte, error) {
 	lens := make([]byte, 0, 4*len(group))
 	for i, u := range group {
-		pcm := s.utteranceAudio(lo+i, u)
-		s.Mic.Load(pcm)
-		lens = binary.LittleEndian.AppendUint32(lens, uint32(len(pcm.Samples)*2))
+		n, err := s.loadUtterance(lo+i, u)
+		if err != nil {
+			return nil, err
+		}
+		lens = binary.LittleEndian.AppendUint32(lens, uint32(n))
 	}
 	for {
 		if _, err := s.Mic.PumpBytes(8192); err != nil {
 			break
 		}
 	}
-	return lens
+	return lens, nil
+}
+
+// invokeGroup queues a group on the bus and invokes cmd with the
+// group's lengths as the TA's MemrefIn.
+func (s *System) invokeGroup(sess *teec.Session, cmd uint32, lo int, group []sensitive.Utterance) error {
+	lens, err := s.queueGroup(lo, group)
+	if err != nil {
+		return err
+	}
+	return sess.InvokeCommand(cmd, &optee.Params{{Type: optee.MemrefIn, Buf: lens}, {}})
 }
 
 // groupRecords returns the n records a group invocation appended to the
@@ -434,7 +465,10 @@ func (s *System) runSecureUtterance(sess *teec.Session, i int, u sensitive.Utter
 			return UtteranceOutcome{}, err
 		}
 	} else {
-		lens := s.queueGroup(i, group)
+		lens, err := s.queueGroup(i, group)
+		if err != nil {
+			return UtteranceOutcome{}, err
+		}
 		p := &optee.Params{{Type: optee.ValueIn, A: uint64(binary.LittleEndian.Uint32(lens))}, {}}
 		if err := sess.InvokeCommand(CmdProcessUtterance, p); err != nil {
 			return UtteranceOutcome{}, err
@@ -460,8 +494,7 @@ func (s *System) runSecureUtterance(sess *teec.Session, i int, u sensitive.Utter
 // secure-filter does. The provider observes ciphertext bytes only —
 // never a cleartext feature.
 func (s *System) hybridProcessGroup(sess *teec.Session, lo int, group []sensitive.Utterance) error {
-	p := &optee.Params{{Type: optee.MemrefIn, Buf: s.queueGroup(lo, group)}, {}}
-	if err := sess.InvokeCommand(CmdTranscribeBatch, p); err != nil {
+	if err := s.invokeGroup(sess, CmdTranscribeBatch, lo, group); err != nil {
 		return fmt.Errorf("hybrid transcribe: %w", err)
 	}
 
@@ -498,7 +531,7 @@ func (s *System) hybridProcessGroup(sess *teec.Session, lo int, group []sensitiv
 		blobs[i] = res
 	}
 
-	p = &optee.Params{{Type: optee.MemrefIn, Buf: packLengthPrefixed(blobs)}, {}}
+	p := &optee.Params{{Type: optee.MemrefIn, Buf: packLengthPrefixed(blobs)}, {}}
 	if err := sess.InvokeCommand(CmdResumeBatchHE, p); err != nil {
 		return fmt.Errorf("hybrid resume: %w", err)
 	}
@@ -541,7 +574,7 @@ func (s *System) RunSessionBatched(utterances []sensitive.Utterance, batch int) 
 		if s.cfg.Mode == ModeHybridHE {
 			err = s.hybridProcessGroup(sess, lo, group)
 		} else {
-			err = sess.InvokeCommand(CmdProcessBatch, &optee.Params{{Type: optee.MemrefIn, Buf: s.queueGroup(lo, group)}, {}})
+			err = s.invokeGroup(sess, CmdProcessBatch, lo, group)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("batch at %d: %w", lo, err)
@@ -557,16 +590,29 @@ func (s *System) RunSessionBatched(utterances []sensitive.Utterance, batch int) 
 	return res, nil
 }
 
-// utteranceAudio renders utterance i with a per-utterance voice seed so
-// renditions vary across the session. The returned PCM aliases the
-// system's synthesis scratch: it is valid until the next utteranceAudio
-// call (the microphone copies on Load).
-func (s *System) utteranceAudio(i int, u sensitive.Utterance) audio.PCM {
+// utteranceAudio renders utterance i into dst's capacity with a
+// per-utterance voice seed so renditions vary across the session.
+func (s *System) utteranceAudio(dst []float64, i int, u sensitive.Utterance) audio.PCM {
 	v := s.Voice
 	v.Seed = s.cfg.Seed*1_000_003 + uint64(i)*97 + 13
-	pcm := v.SynthesizeInto(s.synthBuf, u.Words)
-	s.synthBuf = pcm.Samples[:0]
-	return pcm
+	return v.SynthesizeInto(dst, u.Words)
+}
+
+// synthPool holds *[]float64 synthesis buffers. The microphone encodes
+// what it loads, so a buffer is borrowed only for one loadUtterance call.
+var synthPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// loadUtterance renders utterance i into a pooled buffer, loads it into
+// the microphone and returns its wire length in bytes.
+func (s *System) loadUtterance(i int, u sensitive.Utterance) (int, error) {
+	buf := synthPool.Get().(*[]float64)
+	defer synthPool.Put(buf)
+	pcm := s.utteranceAudio(*buf, i, u)
+	*buf = pcm.Samples[:0]
+	if err := s.Mic.Load(pcm); err != nil {
+		return 0, fmt.Errorf("load utterance %d: %w", i, err)
+	}
+	return len(pcm.Samples) * 2, nil
 }
 
 // auditSupplicant counts private plaintext tokens in the payloads the

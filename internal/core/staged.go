@@ -111,8 +111,7 @@ func (st *StagedSession) CaptureGroup() (*PendingGroup, error) {
 	group := st.utterances[st.lo:hi]
 	groupStart := s.Clock.Now()
 
-	p := &optee.Params{{Type: optee.MemrefIn, Buf: s.queueGroup(st.lo, group)}, {}}
-	if err := st.sess.InvokeCommand(CmdTranscribeBatch, p); err != nil {
+	if err := s.invokeGroup(st.sess, CmdTranscribeBatch, st.lo, group); err != nil {
 		return nil, fmt.Errorf("staged capture at %d: %w", st.lo, err)
 	}
 	pg := &PendingGroup{

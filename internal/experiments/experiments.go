@@ -102,7 +102,9 @@ func newDriverRig(world tz.World, bufBytes int) (*driverRig, error) {
 func (r *driverRig) captureBytes(total int) (tz.Cycles, error) {
 	seconds := float64(total) / 2 / 16000
 	tone := audio.Sine(16000, 440, 0.4, time.Duration(seconds*float64(time.Second)))
-	r.Mic.Load(tone)
+	if err := r.Mic.Load(tone); err != nil {
+		return 0, err
+	}
 	start := r.Clock.Now()
 	_, err := r.Drv.CaptureTask(i2s.DefaultFormat(), total, func(need int) {
 		n := need

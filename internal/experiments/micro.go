@@ -238,7 +238,7 @@ func E2CaptureSweep() (*metrics.Figure, []E2Point, error) {
 func (r *driverRig) loadSignal(totalBytes int) {
 	seconds := float64(totalBytes) / 2 / 16000
 	tone := audio.Sine(16000, 440, 0.4, time.Duration(seconds*float64(time.Second)))
-	r.Mic.Load(tone)
+	_ = r.Mic.Load(tone) // the rig's microphone only ever holds 16 kHz tones
 }
 
 // loadTone queues totalBytes worth of tone and streams it all into the

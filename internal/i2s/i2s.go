@@ -166,20 +166,32 @@ func DecodeFramesInto(dst []int32, wire []byte, f Format) ([]int32, error) {
 	return out, nil
 }
 
-// fifo is a bounded byte ring buffer. The backing storage grows on
-// demand up to the configured capacity, so a controller configured with
-// a generous FIFO (the simulator uses 1 MiB to stand in for real-time
-// pacing) only pays for the bytes actually buffered.
+// fifo is a bounded byte ring buffer. Its backing slab is borrowed from
+// slabPool when the first byte arrives, grows on demand up to the
+// configured capacity, and goes back to the pool when the ring drains
+// to empty — so a controller configured with a generous FIFO (the
+// simulator uses 1 MiB to stand in for real-time pacing) only pays for
+// the bytes actually buffered, and a fleet of short-lived controllers
+// that fill and drain per capture shares a few slabs instead of each
+// regrowing its own. The ring only ever reads bytes it pushed, so the
+// stale contents of a borrowed slab are never observed.
 type fifo struct {
+	slab     *[]byte // pool box of buf; nil while the ring holds no slab
 	buf      []byte
 	start    int
 	n        int
 	capacity int
 }
 
+// slabPool holds *[]byte FIFO slabs of any size; a borrower that needs
+// more than the slab it gets drops it and allocates a larger one.
+var slabPool sync.Pool
+
 func newFIFO(capacity int) *fifo { return &fifo{capacity: capacity} }
 
-// grow re-linearizes the ring into a larger backing slice.
+// grow re-linearizes the ring into a backing slice of at least need
+// bytes (doubling, capped at capacity), borrowing the slab from the pool
+// when a pooled one is large enough.
 func (q *fifo) grow(need int) {
 	size := len(q.buf) * 2
 	if size == 0 {
@@ -191,7 +203,12 @@ func (q *fifo) grow(need int) {
 	if size > q.capacity {
 		size = q.capacity
 	}
-	nb := make([]byte, size)
+	slab, _ := slabPool.Get().(*[]byte)
+	if slab == nil || cap(*slab) < size {
+		b := make([]byte, size) // a too-small pooled slab is left to the collector
+		slab = &b
+	}
+	nb := (*slab)[:min(cap(*slab), q.capacity)]
 	if q.n > 0 {
 		end := q.start + q.n
 		if end <= len(q.buf) {
@@ -201,8 +218,15 @@ func (q *fifo) grow(need int) {
 			copy(nb[first:], q.buf[:end-len(q.buf)])
 		}
 	}
-	q.buf = nb
-	q.start = 0
+	q.slab, q.buf, q.start = slab, nb, 0
+}
+
+// release returns an empty ring's slab to the pool.
+func (q *fifo) release() {
+	if q.slab != nil {
+		slabPool.Put(q.slab)
+	}
+	q.slab, q.buf, q.start, q.n = nil, nil, 0, 0
 }
 
 // push appends b, returning the number of bytes that did NOT fit (overrun).
@@ -225,20 +249,23 @@ func (q *fifo) push(b []byte) int {
 	return len(b) - take
 }
 
-// pop removes up to n bytes.
-func (q *fifo) pop(n int) []byte {
-	if n > q.n {
-		n = q.n
+// popInto moves up to len(dst) bytes into dst and returns the count. It
+// is the ring's only drain: DMA, programmed I/O and the copying
+// PopBytes wrapper all go through it, and the one that empties the ring
+// hands its slab back to the pool.
+func (q *fifo) popInto(dst []byte) int {
+	n := min(len(dst), q.n)
+	if n <= 0 {
+		return 0
 	}
-	out := make([]byte, n)
-	if n == 0 {
-		return out
-	}
-	first := copy(out, q.buf[q.start:])
-	copy(out[first:], q.buf[:n-first])
+	first := copy(dst[:n], q.buf[q.start:])
+	copy(dst[first:n], q.buf)
 	q.start = (q.start + n) % len(q.buf)
 	q.n -= n
-	return out
+	if q.n == 0 {
+		q.release()
+	}
+	return n
 }
 
 func (q *fifo) len() int { return q.n }
@@ -285,7 +312,7 @@ type ControllerStats struct {
 //
 // Data path: a transmitter (the microphone) pushes wire bytes with
 // PushWire; bytes land in the RX FIFO; the driver drains them either via
-// DMA (PopBytes) or programmed I/O (RegFIFOData reads). When the FIFO
+// DMA (PopInto) or programmed I/O (RegFIFOData reads). When the FIFO
 // level crosses the watermark and IRQs are enabled, the IRQ callback fires.
 type Controller struct {
 	name string
@@ -377,9 +404,10 @@ func (c *Controller) ReadReg(off uint32) (uint32, error) {
 		}
 		return s, nil
 	case RegFIFOData:
-		b := c.rx.pop(4)
+		var w [4]byte
+		n := c.rx.popInto(w[:])
 		var v uint32
-		for i, x := range b {
+		for i, x := range w[:n] {
 			v |= uint32(x) << (24 - 8*uint(i))
 		}
 		return v, nil
@@ -463,14 +491,24 @@ func (c *Controller) PushWire(wire []byte) error {
 	return nil
 }
 
-// PopBytes implements bus.FIFOSource for DMA drains.
+// PopInto implements bus.FIFOSource for DMA drains: it moves up to
+// len(dst) bytes from the RX FIFO into dst and returns the count.
+func (c *Controller) PopInto(dst []byte) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.rx.popInto(dst)
+}
+
+// PopBytes removes up to n bytes from the RX FIFO into a fresh slice.
 func (c *Controller) PopBytes(n int) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.rx.pop(n)
+	out := make([]byte, max(0, min(n, c.rx.len())))
+	c.rx.popInto(out)
+	return out
 }
 
-// BytesAvailable implements bus.FIFOSource.
+// BytesAvailable reports how many bytes the RX FIFO holds.
 func (c *Controller) BytesAvailable() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -489,6 +527,6 @@ func (c *Controller) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ctrl = 0
-	c.rx = newFIFO(c.rx.cap())
+	c.rx.release()
 	c.stats = ControllerStats{}
 }

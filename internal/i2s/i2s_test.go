@@ -125,18 +125,24 @@ func TestDecodeShortFrame(t *testing.T) {
 	}
 }
 
+// popN drains up to n bytes from q into a fresh slice.
+func popN(q *fifo, n int) []byte {
+	out := make([]byte, n)
+	return out[:q.popInto(out)]
+}
+
 func TestFIFOPushPop(t *testing.T) {
 	q := newFIFO(8)
 	if over := q.push([]byte{1, 2, 3}); over != 0 {
 		t.Errorf("push overran %d", over)
 	}
-	if got := q.pop(2); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := popN(q, 2); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("pop = %v", got)
 	}
 	if over := q.push([]byte{4, 5, 6, 7, 8, 9, 10}); over != 0 {
 		t.Errorf("wrap push overran %d", over)
 	}
-	got := q.pop(10)
+	got := popN(q, 10)
 	want := []byte{3, 4, 5, 6, 7, 8, 9, 10}
 	if len(got) != len(want) {
 		t.Fatalf("pop = %v, want %v", got, want)
@@ -172,7 +178,7 @@ func TestFIFOOrderProperty(t *testing.T) {
 				return false
 			}
 			if len(expect) > 16 {
-				got := q.pop(16)
+				got := popN(q, 16)
 				for i := range got {
 					if got[i] != expect[i] {
 						return false
@@ -181,7 +187,7 @@ func TestFIFOOrderProperty(t *testing.T) {
 				expect = expect[len(got):]
 			}
 		}
-		got := q.pop(q.len())
+		got := popN(q, q.len())
 		if len(got) != len(expect) {
 			return false
 		}

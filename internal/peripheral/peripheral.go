@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sync"
 
 	"repro/internal/audio"
@@ -19,6 +20,9 @@ import (
 var (
 	// ErrNoSignal is returned when pumping a microphone with nothing loaded.
 	ErrNoSignal = errors.New("peripheral: no signal loaded")
+	// ErrRateMismatch is returned when loading a signal whose sample rate
+	// differs from the unplayed remainder it would queue behind.
+	ErrRateMismatch = errors.New("peripheral: sample rate differs from queued signal")
 	// ErrBadImage is returned for invalid image dimensions.
 	ErrBadImage = errors.New("peripheral: invalid image")
 )
@@ -27,20 +31,26 @@ var (
 // PCM signal models sound reaching the diaphragm; Pump shifts the next
 // samples onto the I2S bus (a real mic is clocked continuously; the pump
 // granularity stands in for elapsed bus time).
+//
+// The microphone's ADC runs at Load: each sample is quantized and
+// encoded into its I2S wire word once, into a wire-width byte queue, so
+// pumping only moves bytes. The queue's slab is borrowed from wirePool
+// and returned when the queue drains to empty.
 type Microphone struct {
-	ctrl *i2s.Controller
-
-	mu     sync.Mutex
+	ctrl   *i2s.Controller
 	format i2s.Format
-	signal audio.PCM
-	pos    int
-	pushed uint64
 
-	// Pump scratch (guarded by mu): quantized samples and their wire
-	// encoding are recycled across PumpBytes calls.
-	sampleBuf []int32
-	wireBuf   []byte
+	mu       sync.Mutex
+	rate     int     // sample rate of the queued signal
+	slab     *[]byte // pool box of wire; nil while the queue holds no slab
+	wire     []byte  // queued wire bytes; wire[pos:] is unplayed
+	pos      int
+	inflight int // pumps handing wire[...] to the controller outside mu
+	pushed   uint64
 }
+
+// wirePool holds *[]byte wire-queue slabs shared by every microphone.
+var wirePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // NewMicrophone wires a microphone to the controller with the format.
 func NewMicrophone(ctrl *i2s.Controller, f i2s.Format) (*Microphone, error) {
@@ -53,104 +63,113 @@ func NewMicrophone(ctrl *i2s.Controller, f i2s.Format) (*Microphone, error) {
 	return &Microphone{ctrl: ctrl, format: f}, nil
 }
 
-// Load queues a PCM signal behind any remaining samples. The samples are
-// copied into the microphone's own buffer (compacted in place), so the
-// caller may reuse p's backing slice immediately and repeated loads do
-// not re-clone the queued remainder.
-func (m *Microphone) Load(p audio.PCM) {
+// Load quantizes a PCM signal and queues its wire encoding behind any
+// unplayed remainder; the caller may reuse p's backing slice as soon as
+// Load returns. A signal whose rate differs from a non-empty remainder
+// is rejected with ErrRateMismatch and nothing is queued.
+func (m *Microphone) Load(p audio.PCM) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.pos >= len(m.signal.Samples) {
-		m.signal.Rate = p.Rate
-		m.signal.Samples = append(m.signal.Samples[:0], p.Samples...)
+	if m.pos >= len(m.wire) {
+		m.rate = p.Rate
+	} else {
+		if m.rate == 0 {
+			m.rate = p.Rate
+		}
+		if p.Rate != m.rate {
+			return fmt.Errorf("%w: %d Hz behind %d Hz", ErrRateMismatch, p.Rate, m.rate)
+		}
+	}
+	if m.slab == nil {
+		m.slab = wirePool.Get().(*[]byte)
+		m.wire, m.pos = (*m.slab)[:0], 0
+	}
+	if m.inflight == 0 {
+		// Compact the unplayed remainder to the front. Skipped while a
+		// pump is pushing a chunk of the queue: appending below writes
+		// only past len(m.wire), never into bytes a pump may still read.
+		m.wire = m.wire[:copy(m.wire, m.wire[m.pos:])]
 		m.pos = 0
-		return
 	}
-	// Compact the unplayed remainder to the front, then append — same
-	// result as cloning remainder+new, without the quadratic re-copy.
-	rem := copy(m.signal.Samples, m.signal.Samples[m.pos:])
-	m.signal.Samples = m.signal.Samples[:rem]
-	if m.signal.Rate == 0 {
-		m.signal.Rate = p.Rate
+	bpw := m.format.BytesPerWord()
+	m.wire = slices.Grow(m.wire, len(p.Samples)*bpw)
+	var words [256]int32
+	for rest := p.Samples; len(rest) > 0; {
+		chunk := words[:min(len(words), len(rest))]
+		for i := range chunk {
+			chunk[i] = quantize(rest[i])
+		}
+		rest = rest[len(chunk):]
+		end := len(m.wire) + len(chunk)*bpw
+		// A mono format is valid (NewMicrophone checked it), so encoding
+		// into the grown tail cannot fail or reallocate.
+		_, _ = i2s.EncodeFramesInto(m.wire[len(m.wire):end], chunk, m.format)
+		m.wire = m.wire[:end]
 	}
-	if p.Rate == m.signal.Rate {
-		m.signal.Samples = append(m.signal.Samples, p.Samples...)
+	return nil
+}
+
+// quantize is the microphone's ADC: full scale maps to the signed 16-bit
+// range, rounded half away from zero and clamped.
+func quantize(s float64) int32 {
+	v := math.Round(s * 32768)
+	if v > 32767 {
+		v = 32767
+	} else if v < -32768 {
+		v = -32768
 	}
-	m.pos = 0
+	return int32(v)
 }
 
 // Remaining returns the number of unplayed samples.
 func (m *Microphone) Remaining() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.signal.Samples) - m.pos
+	return (len(m.wire) - m.pos) / m.format.BytesPerWord()
 }
 
-// PumpBytes shifts up to n bytes of encoded audio into the controller and
-// returns the number of wire bytes pushed. Returns ErrNoSignal when the
-// loaded signal is exhausted.
+// PumpBytes shifts up to n bytes of encoded audio (whole words) into the
+// controller and returns the number of wire bytes pushed. Returns
+// ErrNoSignal when the loaded signal is exhausted.
 func (m *Microphone) PumpBytes(n int) (int, error) {
 	m.mu.Lock()
-	bpw := m.format.BytesPerWord()
-	wantSamples := n / bpw
-	avail := len(m.signal.Samples) - m.pos
+	avail := len(m.wire) - m.pos
 	if avail <= 0 {
 		m.mu.Unlock()
 		return 0, ErrNoSignal
 	}
-	if wantSamples > avail {
-		wantSamples = avail
-	}
-	if wantSamples == 0 {
+	bpw := m.format.BytesPerWord()
+	take := min(n/bpw*bpw, avail)
+	if take <= 0 {
 		m.mu.Unlock()
 		return 0, nil
 	}
-	chunk := m.signal.Samples[m.pos : m.pos+wantSamples]
-	m.pos += wantSamples
-	f := m.format
-	// Quantize under the lock (chunk aliases the signal buffer, which a
-	// concurrent Load may compact in place), detaching the scratch while
-	// it is in flight — a rare concurrent pump simply allocates fresh.
-	sampleBuf, wireBuf := m.sampleBuf, m.wireBuf
-	m.sampleBuf, m.wireBuf = nil, nil
-	if cap(sampleBuf) < len(chunk) {
-		sampleBuf = make([]int32, len(chunk))
-	}
-	samples := sampleBuf[:len(chunk)]
-	for i, s := range chunk {
-		v := math.Round(s * 32768)
-		if v > 32767 {
-			v = 32767
-		} else if v < -32768 {
-			v = -32768
-		}
-		samples[i] = int32(v)
-	}
+	chunk := m.wire[m.pos : m.pos+take]
+	m.pos += take
+	m.inflight++
 	m.mu.Unlock()
 
-	wire, err := i2s.EncodeFramesInto(wireBuf, samples, f)
-	if err != nil {
-		m.mu.Lock()
-		m.pos -= wantSamples
-		m.mu.Unlock()
-		return 0, err
-	}
 	// PushWire runs outside m.mu: the controller copies the bytes into
 	// its FIFO and may invoke the IRQ callback synchronously, which must
-	// be free to call back into the microphone.
-	pushErr := m.ctrl.PushWire(wire)
+	// be free to call back into the microphone. inflight keeps Load from
+	// compacting, and the queue from returning to the pool, under chunk.
+	pushErr := m.ctrl.PushWire(chunk)
 	m.mu.Lock()
-	m.sampleBuf, m.wireBuf = samples[:0], wire[:0]
+	defer m.mu.Unlock()
+	m.inflight--
 	if pushErr != nil {
 		// The receiver rejected the data (e.g. RX disabled); rewind so the
 		// signal is not silently consumed.
-		m.pos -= wantSamples
-		m.mu.Unlock()
+		m.pos -= take
 		return 0, pushErr
 	}
-	m.pushed += uint64(len(wire))
-	m.mu.Unlock()
-	return len(wire), nil
+	m.pushed += uint64(take)
+	if m.pos == len(m.wire) && m.inflight == 0 {
+		*m.slab = m.wire[:0]
+		wirePool.Put(m.slab)
+		m.slab, m.wire, m.pos = nil, nil, 0
+	}
+	return take, nil
 }
 
 // BytesPushed returns the total wire bytes delivered to the controller.

@@ -64,7 +64,9 @@ func newTCBRig() (*tcbRig, error) {
 // and returns the minimal function set.
 func (r *tcbRig) traceCaptureTask() (map[string]bool, error) {
 	tone := audio.Sine(16000, 440, 0.4, 100*time.Millisecond)
-	r.mic.Load(tone)
+	if err := r.mic.Load(tone); err != nil {
+		return nil, fmt.Errorf("tcb trace: %w", err)
+	}
 	r.tracer.Start("record-a-sound")
 	want := len(tone.Samples) * 2
 	_, err := r.drv.CaptureTask(i2s.DefaultFormat(), want, func(need int) {
