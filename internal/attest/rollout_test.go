@@ -2,6 +2,7 @@ package attest
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -117,11 +118,17 @@ func TestRolloutStaging(t *testing.T) {
 	if got := r.Target("late-joiner"); got.Version != 2 {
 		t.Fatalf("late joiner got v%d, want v2", got.Version)
 	}
-	if !r.AwaitFull() {
-		t.Fatal("AwaitFull returned false on a full rollout")
+	// A waiter registered after the rollout opened runs at once.
+	ran := false
+	r.OnSettled(func() { ran = true })
+	if !ran {
+		t.Fatal("OnSettled did not run at once on a full rollout")
 	}
 }
 
+// TestRolloutAwaitAndAbort: a parked waiter runs exactly once, outside
+// the rollout's lock, when the canary verdict opens the rollout or an
+// abort settles it first; a later abort never runs it again.
 func TestRolloutAwaitAndAbort(t *testing.T) {
 	r := NewRollout(Pack{Version: 1})
 	if err := r.Publish(Pack{Version: 2}, 1); err != nil {
@@ -130,27 +137,35 @@ func TestRolloutAwaitAndAbort(t *testing.T) {
 	_ = r.Target("canary")
 	_ = r.Target("waiter")
 
-	var wg sync.WaitGroup
-	results := make([]bool, 2)
-	wg.Add(1)
-	go func() { defer wg.Done(); results[0] = r.AwaitFull() }()
+	var calls []bool
+	r.OnSettled(func() {
+		// Runs outside r.mu: re-entering the rollout must not deadlock.
+		calls = append(calls, r.Full())
+	})
+	if len(calls) != 0 {
+		t.Fatal("waiter ran before the canary verdict")
+	}
 	r.ReportSuccess("canary")
-	wg.Wait()
-	if !results[0] {
-		t.Fatal("waiter woke without full rollout")
+	r.Abort("late abort")
+	if !reflect.DeepEqual(calls, []bool{true}) {
+		t.Fatalf("waiter calls = %v, want exactly one with opened=true", calls)
 	}
 
-	// Abort wakes waiters without opening the rollout.
+	// Abort settles waiters without opening the rollout.
 	r2 := NewRollout(Pack{Version: 1})
 	if err := r2.Publish(Pack{Version: 2}, 1); err != nil {
 		t.Fatal(err)
 	}
-	wg.Add(1)
-	go func() { defer wg.Done(); results[1] = r2.AwaitFull() }()
+	var wg sync.WaitGroup
+	results := make([]bool, 2)
+	wg.Add(2)
+	for i := range results {
+		r2.OnSettled(func() { results[i] = r2.Full(); wg.Done() })
+	}
 	r2.Abort("canary failed")
 	wg.Wait()
-	if results[1] {
-		t.Fatal("aborted waiter reported full rollout")
+	if results[0] || results[1] {
+		t.Fatalf("aborted waiters reported an open rollout: %v", results)
 	}
 	if aborted, reason := r2.Aborted(); !aborted || reason != "canary failed" {
 		t.Fatalf("abort record = %v %q, want true %q", aborted, reason, "canary failed")
@@ -159,5 +174,11 @@ func TestRolloutAwaitAndAbort(t *testing.T) {
 	r2.Abort("second opinion")
 	if _, reason := r2.Aborted(); reason != "canary failed" {
 		t.Fatalf("abort reason overwritten: %q", reason)
+	}
+	// A waiter registered after the abort runs at once.
+	late := false
+	r2.OnSettled(func() { late = true })
+	if !late || r2.Full() {
+		t.Fatal("late waiter on an aborted rollout did not run at once")
 	}
 }

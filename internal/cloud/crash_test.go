@@ -94,6 +94,40 @@ func TestShardDedup(t *testing.T) {
 	}
 }
 
+// TestRouterDedupSurvivesMigration: a duplicate sent after its frame was
+// served, but after a ring change moved the device to another shard, is
+// still dropped — the new owner shares the tier's served log instead of
+// ingesting the frame a second time.
+func TestRouterDedupSurvivesMigration(t *testing.T) {
+	r, err := NewRouter([]*Shard{NewShard("s0", 1, 2), NewShard("s1", 1, 2)}, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	p := &countingProvider{}
+	owner := r.Register("dev", p)
+	if _, err := r.IngestMeta("dev", []byte("a"), FrameMeta{Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Drain(owner.Name()); err != nil {
+		t.Fatal(err)
+	}
+	if r.ShardFor("dev") == owner {
+		t.Fatal("drain did not move the device")
+	}
+	if _, err := r.IngestMeta("dev", []byte("a"), FrameMeta{Seq: 1}); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("duplicate after migration was not deduplicated: %v", err)
+	}
+	added := NewShard("s2", 1, 2)
+	r.AddShard(added, 8)
+	if _, err := r.IngestMeta("dev", []byte("a"), FrameMeta{Seq: 1}); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("duplicate on shard %s after AddShard was not deduplicated: %v", r.ShardFor("dev").Name(), err)
+	}
+	if ev := p.Audit().Events; ev != 1 {
+		t.Fatalf("endpoint saw %d events, want 1 (duplicate ingested twice)", ev)
+	}
+}
+
 // TestRouterIngestGiveUpExpires is the give-up regression test: when
 // every re-resolution lands on the same dead shard, the router's give-up
 // path must classify the frame as expired — the error chains through

@@ -215,10 +215,37 @@ type Shard struct {
 	pending     int           // admitted frames (both lanes) not yet picked up by a worker
 	bulkPending int           // bulk-lane share of pending: the policy's occupancy signal
 	queuePeak   int
-	// maxServed records the highest frame seq served per device, so a
+	// served records the highest frame seq served per device, so a
 	// duplicate of an already-served frame is dropped at admission (a
 	// retried-but-never-served frame is not a duplicate).
-	maxServed map[string]uint64
+	served *servedLog
+}
+
+// servedLog records the highest frame seq served per device. A router
+// shares one log across its shards: a duplicate that resolves to a new
+// owner after a ring change moved the device is still recognised as
+// served, instead of being ingested a second time.
+type servedLog struct {
+	mu  sync.Mutex
+	max map[string]uint64
+}
+
+func newServedLog() *servedLog { return &servedLog{max: make(map[string]uint64)} }
+
+// seen reports whether the device's frame seq was already served.
+func (l *servedLog) seen(deviceID string, seq uint64) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return seq <= l.max[deviceID]
+}
+
+// note records that the device's frame seq was served.
+func (l *servedLog) note(deviceID string, seq uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if seq > l.max[deviceID] {
+		l.max[deviceID] = seq
+	}
 }
 
 // NewShard starts a shard with the given worker count and admission-queue
@@ -237,7 +264,7 @@ func NewShard(name string, workers, queueDepth int) *Shard {
 		depth:     queueDepth,
 		quit:      make(chan struct{}),
 		endpoints: make(map[string]Provider),
-		maxServed: make(map[string]uint64),
+		served:    newServedLog(),
 	}
 	s.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -320,8 +347,8 @@ func (s *Shard) serve(job ingestJob) {
 		s.errs++
 	} else {
 		s.frames++
-		if job.meta.Seq != 0 && job.meta.Seq > s.maxServed[job.device] {
-			s.maxServed[job.device] = job.meta.Seq
+		if job.meta.Seq != 0 {
+			s.served.note(job.device, job.meta.Seq)
 		}
 	}
 	s.mu.Unlock()
@@ -348,6 +375,14 @@ func (s *Shard) Utilization() float64 {
 		u = 1
 	}
 	return u
+}
+
+// setServedLog installs the dedup state the shard shares with its
+// router's other shards.
+func (s *Shard) setServedLog(l *servedLog) {
+	s.mu.Lock()
+	s.served = l
+	s.mu.Unlock()
 }
 
 // Register binds a device ID to its channel-terminating endpoint.
@@ -503,8 +538,8 @@ func (s *Shard) IngestMeta(deviceID string, frame []byte, meta FrameMeta) ([]byt
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q on shard %s", ErrUnknownDevice, deviceID, s.name)
 	}
-	if meta.Seq != 0 && meta.Seq <= s.maxServed[deviceID] {
-		// A duplicate of a frame this shard already served under the same
+	if meta.Seq != 0 && s.served.seen(deviceID, meta.Seq) {
+		// A duplicate of a frame the tier already served under the same
 		// (device, seq): drop it before the gate and policy see it, so
 		// neither the audit nor the capacity counters double-count.
 		s.dupDropped++
@@ -650,6 +685,7 @@ type Router struct {
 	policy   AdmissionPolicy
 	flight   func(string) *obs.FlightRecorder // per-shard recorder source (nil untraced)
 	sup      *Supervisor                      // crash supervision (nil unsupervised)
+	served   *servedLog                       // dedup state shared by every shard
 	shards   []*Shard
 	weights  map[string]int
 	ring     []ringPoint // sorted by hash
@@ -672,9 +708,10 @@ func NewRouter(shards []*Shard, replicas int) (*Router, error) {
 	if replicas < 1 {
 		replicas = 1
 	}
-	r := &Router{replicas: replicas, shards: shards, weights: make(map[string]int, len(shards))}
+	r := &Router{replicas: replicas, shards: shards, weights: make(map[string]int, len(shards)), served: newServedLog()}
 	for _, s := range shards {
 		r.weights[s.Name()] = 1
+		s.setServedLog(r.served)
 	}
 	r.rebuildRingLocked()
 	return r, nil
@@ -771,6 +808,7 @@ func (r *Router) AddShard(s *Shard, weight int) {
 	if r.sup != nil {
 		s.setSupervisor(r.sup)
 	}
+	s.setServedLog(r.served)
 	r.shards = append(r.shards, s)
 	r.weights[s.Name()] = weight
 	r.rebuildRingLocked()

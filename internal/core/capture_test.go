@@ -38,8 +38,10 @@ func TestCapturePathReusesPooledBuffers(t *testing.T) {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	// No collection from the first run to the measurement: two GC cycles
-	// empty a sync.Pool.
+	// empty a sync.Pool. One P: an item the first run put in one P's
+	// private pool slot is invisible to a Get that runs on another P.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	if _, err := first.RunSessionBatched(group, len(group)); err != nil {
 		t.Fatalf("first system: %v", err)
 	}

@@ -151,10 +151,11 @@ type Config struct {
 	ModelVersion  uint64
 
 	// SharedClassify marks a secure-filter device whose classify stage is
-	// served by a shared cross-device scheduler (wired afterwards via
-	// SetClassifyService): the per-device classifier build and weight
-	// sealing are skipped, since the device never runs a forward pass
-	// itself. The caller must wire the service before the session runs.
+	// served by a shared cross-device scheduler: the per-device classifier
+	// build and weight sealing are skipped, since the device never runs a
+	// forward pass itself. The caller either wires the service via
+	// SetClassifyService before a blocking session runs, or drives the
+	// device through a StagedSession and classifies parked groups itself.
 	SharedClassify bool
 }
 
@@ -622,6 +623,7 @@ func (s *System) buildSecure() error {
 		Filter:       s.cfg.Mode == ModeSecureFilter || s.cfg.Mode == ModeHybridHE,
 		Hybrid:       s.cfg.Mode == ModeHybridHE,
 		HEParams:     heParams,
+		Shared:       s.cfg.SharedClassify,
 		Identity:     taID,
 		CloudPub:     cloudID.PublicKey(),
 		Clock:        s.Clock,

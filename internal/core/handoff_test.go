@@ -30,15 +30,65 @@ func forgedOverflowCiphertext(keyID uint64) []byte {
 	return binary.LittleEndian.AppendUint32(b, 0) // slots
 }
 
-// wrongShapeCiphertext is an honestly encrypted ciphertext whose shape
-// is valid but is not the split's HE-layer output shape.
+// wrongShapeCiphertext is an honestly evaluated one-layer ciphertext —
+// the split's depth and noise — whose shape is valid but is not the
+// split's HE-layer output shape.
 func wrongShapeCiphertext(t *testing.T, eval *he.Evaluator, pub he.PublicKey) []byte {
 	t.Helper()
 	ct, err := eval.Encrypt(pub, []float32{0.5, 0.25}, []int{1, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ct, err = eval.Dense(&he.Dense{In: 2, Out: 2, W: []float32{1, 0, 0, 1}, B: []float32{0, 0}}, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return ct.Marshal(eval.Params)
+}
+
+// honestSpeakerHandoff is the provider's real output for one all-zero
+// utterance: the split's embedding head encrypted, then its first conv
+// evaluated blind.
+func honestSpeakerHandoff(t *testing.T, sys *System) []byte {
+	t.Helper()
+	data, shape, err := sys.heSplit.EmbedFeatures(make([]float32, sys.heSplit.SeqLen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := sys.HEEval.Encrypt(sys.HEPub, data, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := sys.HE.EvalText(ct.Marshal(sys.HEEval.Params))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// honestDoorbellHandoff is the provider's real output for one blank
+// frame.
+func honestDoorbellHandoff(t *testing.T, sys *CameraSystem) []byte {
+	t.Helper()
+	ct, err := sys.HEEval.Encrypt(sys.HEPub, make([]float32, cameraFrameBytes), []int{cameraFrameSide, cameraFrameSide, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := sys.HE.EvalImage(ct.Marshal(sys.HEEval.Params))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// resetBudget patches an honest handoff's wire header to claim a fresh
+// ciphertext: level 0 and the full FreshNoise budget, as a provider
+// resetting the noise budget would.
+func resetBudget(blob []byte, p he.Params) []byte {
+	out := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint32(out[12:], 0)                    // level
+	binary.LittleEndian.PutUint32(out[16:], uint32(p.FreshNoise)) // noise budget
+	return out
 }
 
 // resumeHE stages one utterance in the voice TA and resumes it with blob.
@@ -94,6 +144,14 @@ func TestForgedHandoffRejected(t *testing.T) {
 		{"doorbell/overflow", func() error { return finishHE(t, doorbell, forgedOverflowCiphertext(doorbell.HEPub.ID)) }, he.ErrCorrupt},
 		{"speaker/wrong-shape", func() error { return resumeHE(t, speaker, wrongShapeCiphertext(t, speaker.HEEval, speaker.HEPub)) }, ErrBadHandoff},
 		{"doorbell/wrong-shape", func() error { return finishHE(t, doorbell, wrongShapeCiphertext(t, doorbell.HEEval, doorbell.HEPub)) }, ErrBadHandoff},
+		{"speaker/budget-reset", func() error {
+			return resumeHE(t, speaker, resetBudget(honestSpeakerHandoff(t, speaker), speaker.HEEval.Params))
+		}, ErrBadHandoff},
+		{"doorbell/budget-reset", func() error {
+			return finishHE(t, doorbell, resetBudget(honestDoorbellHandoff(t, doorbell), doorbell.HEEval.Params))
+		}, ErrBadHandoff},
+		{"speaker/honest", func() error { return resumeHE(t, speaker, honestSpeakerHandoff(t, speaker)) }, nil},
+		{"doorbell/honest", func() error { return finishHE(t, doorbell, honestDoorbellHandoff(t, doorbell)) }, nil},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -124,7 +124,7 @@ func (s *System) RunSession(utterances []sensitive.Utterance) (*SessionResult, e
 	startCycles := s.Clock.Now()
 	s.Monitor.ResetStats()
 
-	var runOne func(i int, u sensitive.Utterance) (UtteranceOutcome, error)
+	var processOne func(i int, u sensitive.Utterance) (UtteranceOutcome, error)
 	if s.cfg.Mode == ModeBaseline {
 		// Hold the capture stream open across the session so the DMA
 		// buffer stays live (and snoopable), mirroring a continuously
@@ -136,7 +136,7 @@ func (s *System) RunSession(utterances []sensitive.Utterance) (*SessionResult, e
 		defer func() {
 			_ = s.Kernel.Close(fd)
 		}()
-		runOne = func(i int, u sensitive.Utterance) (UtteranceOutcome, error) {
+		processOne = func(i int, u sensitive.Utterance) (UtteranceOutcome, error) {
 			return s.runBaselineUtterance(fd, i, u)
 		}
 	} else {
@@ -149,13 +149,13 @@ func (s *System) RunSession(utterances []sensitive.Utterance) (*SessionResult, e
 		defer func() {
 			_ = ctx.FinalizeContext()
 		}()
-		runOne = func(i int, u sensitive.Utterance) (UtteranceOutcome, error) {
+		processOne = func(i int, u sensitive.Utterance) (UtteranceOutcome, error) {
 			return s.runSecureUtterance(sess, i, u)
 		}
 	}
 
 	for i, u := range utterances {
-		outcome, err := runOne(i, u)
+		outcome, err := processOne(i, u)
 		if err != nil {
 			return nil, fmt.Errorf("utterance %d (%q): %w", i, u.Text(), err)
 		}

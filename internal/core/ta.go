@@ -232,6 +232,9 @@ type VoiceTAConfig struct {
 	// is the leveled-HE parameter set the fleet's key pair uses.
 	Hybrid   bool
 	HEParams he.Params
+	// Shared marks a TA whose classify stage a shared cross-device
+	// classifier serves (Config.SharedClassify).
+	Shared bool
 }
 
 // voiceKind is the voice TA's lifecycle identity: text weights and the
@@ -268,7 +271,7 @@ func NewVoiceTA(cfg VoiceTAConfig) (*VoiceTA, error) {
 	t := &VoiceTA{
 		taCore: taCore{
 			kind: voiceKind, tee: cfg.TEE, storage: cfg.Storage, clock: cfg.Clock, cost: cfg.Cost,
-			filter: cfg.Filter, hybrid: cfg.Hybrid, heParams: cfg.HEParams,
+			filter: cfg.Filter, hybrid: cfg.Hybrid, shared: cfg.Shared, heParams: cfg.HEParams,
 			skeleton: func(seed uint64) (*classify.Classifier, error) {
 				return classify.NewText(cfg.Arch, NewRNG(seed, seed^SaltClassifier), cfg.VocabSize, 12)
 			},

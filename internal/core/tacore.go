@@ -25,9 +25,14 @@ import (
 	"repro/internal/tz"
 )
 
-// ErrBadHandoff is returned when a decrypted HE→TEE handoff does not
-// have the shape of the split's HE-layer output.
-var ErrBadHandoff = errors.New("core: HE handoff shape mismatch")
+// ErrBadHandoff is returned when an HE→TEE handoff is not what the
+// split's HE layer outputs: another level, more noise budget than that
+// layer leaves, or another shape.
+var ErrBadHandoff = errors.New("core: HE handoff mismatch")
+
+// heSplitDepth is the multiplicative depth the provider evaluates in a
+// hybrid split: one linear layer, the classifier's first conv.
+const heSplitDepth = 1
 
 // Management commands every TA answers.
 const (
@@ -122,9 +127,12 @@ type taCore struct {
 	cost    tz.CostModel
 	channel *relay.Channel
 	// filter is false only for a secure-nofilter speaker, which holds no
-	// classifier; hybrid arms the HE→TEE handoff under heParams.
+	// classifier; hybrid arms the HE→TEE handoff under heParams; shared
+	// marks a TA whose classify stage a shared cross-device classifier
+	// serves, so it never builds a classifier of its own.
 	filter   bool
 	hybrid   bool
+	shared   bool
 	heParams he.Params
 	// skeleton builds the kind's untrained classifier for a model seed.
 	skeleton func(seed uint64) (*classify.Classifier, error)
@@ -285,7 +293,7 @@ func (c *taCore) rotateKey(tokenBytes []byte) (uint64, error) {
 // at classify time, so no batch is dropped or torn mid-run.
 func (c *taCore) updateModel(packBytes, tokenBytes []byte) (uint64, error) {
 	c.mu.Lock()
-	attestor, shared := c.attestor, c.remote != nil
+	attestor := c.attestor
 	c.mu.Unlock()
 	if attestor == nil {
 		return 0, c.errNotProvisioned()
@@ -301,12 +309,12 @@ func (c *taCore) updateModel(packBytes, tokenBytes []byte) (uint64, error) {
 	if err := attestor.VerifyManifest(tok, pack); err != nil {
 		return 0, fmt.Errorf("%s update: %w", c.kind.name, err)
 	}
-	// With a shared classify service wired, the device never runs the
-	// pack's weights itself — the scheduler's per-version classifier
-	// does — so the per-device rebuild is skipped. The pack is still
-	// verified, sealed, and version-advanced below.
+	// A shared-classify TA never runs the pack's weights itself — the
+	// scheduler's per-version classifier does — so the per-device
+	// rebuild is skipped. The pack is still verified, sealed, and
+	// version-advanced below.
 	var clf *classify.Classifier
-	if c.filter && !shared {
+	if c.filter && !c.shared {
 		if clf, err = c.buildClassifier(pack.ModelSeed, c.kind.weights(pack)); err != nil {
 			return 0, fmt.Errorf("%s update: %w", c.kind.name, err)
 		}
@@ -464,11 +472,21 @@ func (c *taCore) openHandoff() (*heHandoff, error) {
 // verdict decrypts one provider-evaluated HE-layer output and runs the
 // non-linear tail over it inside the TEE; true means flagged. The
 // normal world and the provider control every byte of blob, so anything
-// but the split's HE-layer output shape is refused before the tail runs.
+// but the split's HE-layer output is refused before the tail runs. The
+// level and noise budget are header bytes too: a ciphertext claiming
+// another depth, or more budget than the split's depth leaves, would let
+// the provider reset the budget, so it is refused before the decrypt.
 func (h *heHandoff) verdict(blob []byte) (bool, error) {
 	ct, err := h.eval.Unmarshal(blob)
 	if err != nil {
 		return false, err
+	}
+	p := h.eval.Params
+	if ct.Level() != heSplitDepth {
+		return false, fmt.Errorf("%w: level %d, want %d", ErrBadHandoff, ct.Level(), heSplitDepth)
+	}
+	if left := p.FreshNoise - heSplitDepth*(p.MulNoise+p.RescaleNoise+p.AddNoise); ct.NoiseBudget() > left {
+		return false, fmt.Errorf("%w: noise budget %d, depth %d leaves %d", ErrBadHandoff, ct.NoiseBudget(), heSplitDepth, left)
 	}
 	data, shape, err := h.eval.Decrypt(h.sk, ct)
 	if err != nil {

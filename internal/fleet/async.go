@@ -1,26 +1,34 @@
 package fleet
 
-// Event-driven device pipeline: instead of one goroutine per device that
-// runs capture → transcribe → classify → uplink synchronously (parking in
-// sched.Classify while a shared flush forms), device state lives in a
-// task table and a bounded executor pool drives it. A scheduled
-// secure-filter speaker's run is sliced at the classify stage
-// (core.StagedSession): the executor captures and transcribes a group,
-// submits each encoded utterance as its own single-item asynchronous
-// scheduler enqueue, and releases the executor; the last completion
-// callback re-enqueues the task and a (possibly different) executor
-// resumes the group — charging the wait, relaying survivors — and
-// captures the next one. Every other device class runs its whole
-// pipeline as one executor step.
+// The fleet's engine. Device state lives in a task table and a bounded
+// executor pool drives it; no goroutine is tied to one device. A device
+// that never waits on the rest of the fleet runs its whole flow as one
+// executor step. The two stages that do wait park their task and give
+// up the executor instead of blocking it:
+//
+//   - A scheduled secure-filter speaker is sliced at the classify stage
+//     (core.StagedSession): the executor captures and transcribes a
+//     group, submits each encoded utterance as its own single-item
+//     asynchronous scheduler enqueue and moves on; the last completion
+//     callback re-enqueues the task, and a (possibly different) executor
+//     resumes the group — charging the wait, relaying survivors — and
+//     captures the next one.
+//   - A secure-filter device admitted while a staged rollout's canaries
+//     are still out, with no canary slot of its own, parks before it is
+//     built on the rollout verdict (attest.Rollout.OnSettled). The
+//     verdict re-admits it: it runs on the new pack, or on the base pack
+//     with a rollback record if the rollout aborted.
 //
 // Two properties fall out. Scale: a 10⁴–10⁵-device population costs
-// Executors goroutines plus the scheduler's workers, not one goroutine
-// per device, and at most ~Executors + a flush worth of device pipelines
-// are constructed at once. Coalescing: submissions are true concurrent
-// single-item enqueues, so scheduler occupancy comes from cross-device
-// batching rather than one device's whole queue entering as a multi-item
-// request. Audits stay bit-identical to the synchronous path — the
-// engine moves only where waiting happens, never what is computed.
+// DeviceWorkers goroutines plus the scheduler's workers, and at most
+// ~DeviceWorkers + a flush worth of device pipelines are constructed at
+// once — a device held for the verdict has none yet. Composition: no
+// wait can hold an executor, so a canary parked on a scheduler flush is
+// never starved by devices waiting for its verdict, and rollout,
+// scheduler, churn and chaos compose on one pool. With one executor and
+// no scheduler the run is strictly sequential; audits are bit-identical
+// to it — the engine moves only where waiting happens, never what is
+// computed.
 
 import (
 	"fmt"
@@ -32,35 +40,29 @@ import (
 	"repro/internal/tz"
 )
 
-// AsyncSpec enables the event-driven device pipeline. Nil keeps the
-// goroutine-per-device worker pool.
+// AsyncSpec once selected the event-driven engine; it is now the only
+// engine and Config.DeviceWorkers sizes its executor pool.
+//
+// Deprecated: Config.Async has no effect.
 type AsyncSpec struct {
-	// Executors bounds the pool driving device tasks; default GOMAXPROCS.
+	// Executors is ignored; see Config.DeviceWorkers.
 	Executors int
 }
 
-func (a *AsyncSpec) fillDefaults() error {
-	if a.Executors < 0 {
-		return fmt.Errorf("%w: %d async executors", ErrBadConfig, a.Executors)
-	}
-	if a.Executors == 0 {
-		a.Executors = runtime.GOMAXPROCS(0)
-	}
-	return nil
-}
-
-// AsyncReport summarizes the event-driven engine's execution.
+// AsyncReport summarizes the engine's execution.
 type AsyncReport struct {
 	// Executors is the pool size that drove the run.
 	Executors int
 	// Steps counts executor dispatches (task admissions + resumptions).
 	Steps uint64
-	// Parks counts utterance groups parked awaiting a shared classify
-	// flush. Zero when no scheduler is wired.
+	// Parks counts tasks parked off an executor: utterance groups
+	// awaiting a shared classify flush, and devices held for a staged
+	// rollout's canary verdict.
 	Parks uint64
 	// PeakLive is the most device pipelines concurrently constructed —
 	// the honest memory figure for large populations (it stays near
-	// Executors plus a flush's worth of parked devices, not Devices).
+	// Executors plus a flush's worth of parked devices, not Devices;
+	// devices held for a rollout verdict are not built yet).
 	PeakLive int
 }
 
@@ -92,8 +94,10 @@ type asyncEngine struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	ready    []*devTask
-	next     int // admission cursor into order
-	active   int // tasks admitted and not yet finished
+	next     int        // admission cursor into order
+	released []*devTask // held tasks the rollout verdict re-admits
+	held     int        // tasks held for the rollout verdict
+	active   int        // tasks admitted, not held and not yet finished
 	peak     int
 	steps    uint64
 	parks    uint64
@@ -101,7 +105,7 @@ type asyncEngine struct {
 }
 
 func newAsyncEngine(r *runner, specs []core.DeviceSpec, order []int) *asyncEngine {
-	e := &asyncEngine{r: r, specs: specs, order: order, execs: r.cfg.Async.Executors}
+	e := &asyncEngine{r: r, specs: specs, order: order, execs: r.cfg.DeviceWorkers}
 	if e.execs > len(order) && len(order) > 0 {
 		e.execs = len(order)
 	}
@@ -137,11 +141,11 @@ func (e *asyncEngine) run() error {
 }
 
 // nextTask returns the next runnable task — a resumed parked task first,
-// else a fresh admission — or nil when the run is over. With only parked
-// tasks outstanding it drives the scheduler's idle rule (NotifyIdle)
-// before sleeping: the executors collectively assert nothing new can
-// arrive, which is the event-driven analogue of every producer being
-// blocked.
+// else an admission (a released held task before a fresh one) — or nil
+// when the run is over. With only parked tasks outstanding it drives the
+// scheduler's idle rule (NotifyIdle) before sleeping: the executors
+// collectively assert nothing new can arrive, which is the event-driven
+// analogue of every producer being blocked.
 func (e *asyncEngine) nextTask() *devTask {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -152,17 +156,26 @@ func (e *asyncEngine) nextTask() *devTask {
 			e.steps++
 			return t
 		}
-		if e.firstErr == nil && e.next < len(e.order) {
-			idx := e.order[e.next]
+		// Held tasks were admitted before the error, if any, so they run
+		// even after one: they end on the base pack with rollback records.
+		var t *devTask
+		switch {
+		case len(e.released) > 0:
+			t = e.released[0]
+			e.released = e.released[1:]
+		case e.firstErr == nil && e.next < len(e.order):
+			t = &devTask{idx: e.order[e.next]}
 			e.next++
+		}
+		if t != nil {
 			e.active++
 			if e.active > e.peak {
 				e.peak = e.active
 			}
 			e.steps++
-			return &devTask{idx: idx}
+			return t
 		}
-		if e.active == 0 {
+		if e.active == 0 && e.held == 0 {
 			return nil
 		}
 		if e.r.sched != nil {
@@ -194,17 +207,25 @@ func (e *asyncEngine) nextTask() *devTask {
 			}
 			// Pending was zero: every outstanding entry rides an in-flight
 			// flush, so some task is guaranteed to drain and broadcast.
+			// Held tasks wake the same way: their verdict comes from a
+			// canary that is running or parked in a flush, or from an
+			// abort.
 		}
 		e.cond.Wait()
 	}
 }
 
-// step advances one task: admission (setup, then either a full
-// synchronous run or the first staged capture) or resumption (feed the
-// shared classifier's verdicts back, capture the next group).
+// step advances one task: admission (hold for the rollout verdict, or
+// setup, then either a full synchronous run or the first staged capture)
+// or resumption (feed the shared classifier's verdicts back, capture the
+// next group).
 func (e *asyncEngine) step(t *devTask) {
 	if t.dc == nil {
 		spec := e.specs[t.idx]
+		if e.r.st.holdBack(spec) {
+			e.hold(t)
+			return
+		}
 		dc, err := e.r.setupOne(spec, t.idx)
 		if err != nil {
 			e.finish(t, err)
@@ -336,16 +357,49 @@ func (e *asyncEngine) release(t *devTask, k int) {
 	e.cond.Broadcast()
 }
 
+// hold parks a fresh task, before it builds anything, until the staged
+// rollout settles; the verdict callback releases it for re-admission.
+func (e *asyncEngine) hold(t *devTask) {
+	e.mu.Lock()
+	e.active--
+	e.held++
+	e.parks++
+	e.mu.Unlock()
+	e.r.st.rollout.OnSettled(func() {
+		e.mu.Lock()
+		e.held--
+		e.released = append(e.released, t)
+		e.cond.Broadcast()
+		e.mu.Unlock()
+	})
+}
+
 // finish retires a task: settle its accounting, record the first error,
-// and wake executors re-checking the termination condition.
+// and wake executors re-checking the termination condition. A failed
+// device aborts a staged rollout, since its canary verdict may never
+// come: the abort releases every held task, which then runs on the base
+// pack and leaves a rollback record instead of waiting forever. The
+// error is recorded first, so no fresh admission follows the release,
+// and the abort runs off the engine lock because it fires the held
+// tasks' callbacks.
 func (e *asyncEngine) finish(t *devTask, err error) {
 	if t.dc != nil {
 		t.dc.close(e.r)
 	}
+	// Drop the pipeline: a spent queue slot may still point at the task,
+	// and must not keep a whole device alive until the run ends.
+	t.dc, t.st, t.pg = nil, nil, nil
 	e.mu.Lock()
 	if err != nil && e.firstErr == nil {
 		e.firstErr = err
 	}
+	e.mu.Unlock()
+	if err != nil && e.r.st != nil && e.r.st.rollout != nil {
+		reason := fmt.Sprintf("device failure: %v", err)
+		e.r.tracer.Anomaly("rollout-abort", reason)
+		e.r.st.rollout.Abort(reason)
+	}
+	e.mu.Lock()
 	e.active--
 	e.cond.Broadcast()
 	e.mu.Unlock()

@@ -3,25 +3,48 @@ package fleet
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/tz"
 )
 
-// TestAsyncPipelineEquivalence is the event-driven tentpole's correctness
-// pin: across 8 randomized configurations (population size, executor pool
-// size, device batch, scheduler batch and deadline, churn, key rotation),
-// the async engine's per-device audit fingerprints are bit-identical to
-// the goroutine-per-device run of the same seed, with zero lost frames.
-// The engine may move where waiting happens — never what any device's
-// transcripts, verdicts or audit counters say.
+// sequentialRun is the equivalence reference: the same configuration
+// with no scheduler on one executor — a strictly sequential run in which
+// nothing parks.
+func sequentialRun(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	cfg.Sched = nil
+	cfg.DeviceWorkers = 1
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("seed %d sequential reference: %v", cfg.Seed, err)
+	}
+	if res.Async.Parks != 0 {
+		t.Fatalf("seed %d: sequential reference parked %d times", cfg.Seed, res.Async.Parks)
+	}
+	return res
+}
+
+// TestAsyncPipelineEquivalence is the engine's correctness pin: across
+// randomized configurations (population size, executor pool size,
+// device batch, scheduler batch and deadline, churn, key rotation,
+// staged rollout), every device's audit fingerprint is bit-identical to
+// the strictly sequential unscheduled run of the same seed, with zero
+// lost frames. The engine may move where waiting happens — never what
+// any device's transcripts, verdicts or audit counters say. Under a
+// rollout that includes the pack each device's workload runs on: which
+// devices are canaries depends on executor timing, but a device without
+// a slot is held until the verdict, so every secure-filter workload runs
+// on the new pack, as in the sequential run.
 func TestAsyncPipelineEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 8; trial++ {
+	for trial := 0; trial < 10; trial++ {
 		schedOn := trial%4 != 3 // 6 of 8 trials exercise the shared scheduler
 		schedBatch := 2 + rng.Intn(core.MaxBatch-1)
 		cfg := Config{
@@ -42,24 +65,22 @@ func TestAsyncPipelineEquivalence(t *testing.T) {
 		if rng.Intn(2) == 1 {
 			cfg.Lifecycle = &LifecycleSpec{RotateFraction: 0.25}
 		}
+		if trial%2 == 1 {
+			cfg.Rollout = &RolloutSpec{CanaryFraction: 0.1 + 0.4*rng.Float64()}
+		}
 		maxAge := tz.Cycles(10_000 + rng.Intn(2_000_000))
 		if schedOn {
 			cfg.Sched = &SchedSpec{Batch: schedBatch, MaxAge: maxAge}
 		}
-		executors := 1 + rng.Intn(8)
-		t.Logf("trial %d: devices=%d shards=%d batch=%d sched=%v/%d maxAge=%d churn=%v rotate=%v executors=%d",
+		cfg.DeviceWorkers = 1 + rng.Intn(8)
+		t.Logf("trial %d: devices=%d shards=%d batch=%d sched=%v/%d maxAge=%d churn=%v rotate=%v rollout=%v executors=%d",
 			trial, cfg.Devices, cfg.Shards, cfg.Batch, schedOn, schedBatch, maxAge,
-			cfg.Churn != nil, cfg.Lifecycle != nil, executors)
+			cfg.Churn != nil, cfg.Lifecycle != nil, cfg.Rollout != nil, cfg.DeviceWorkers)
 
-		plain, err := Run(cfg)
+		plain := sequentialRun(t, cfg)
+		async, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("trial %d sync: %v", trial, err)
-		}
-		acfg := cfg
-		acfg.Async = &AsyncSpec{Executors: executors}
-		async, err := Run(acfg)
-		if err != nil {
-			t.Fatalf("trial %d async: %v", trial, err)
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 
 		if async.LostFrames() != 0 {
@@ -71,12 +92,16 @@ func TestAsyncPipelineEquivalence(t *testing.T) {
 		}
 		for i := range plain.DeviceResults {
 			if got, want := fingerprint(async.DeviceResults[i]), fingerprint(plain.DeviceResults[i]); got != want {
-				t.Fatalf("trial %d device %d diverged under the async engine:\n async: %s\n  sync: %s",
+				t.Fatalf("trial %d device %d diverged from the sequential run:\n got: %s\n want: %s",
 					trial, i, got, want)
 			}
 		}
 		if cfg.Lifecycle != nil && async.Rotated != plain.Rotated {
-			t.Fatalf("trial %d: rotation diverged: async %d, sync %d", trial, async.Rotated, plain.Rotated)
+			t.Fatalf("trial %d: rotation diverged: %d, sequential %d", trial, async.Rotated, plain.Rotated)
+		}
+		if cfg.Rollout != nil && (!async.Rollout.Converged || len(async.Rollout.Rollbacks) != 0) {
+			t.Fatalf("trial %d: rollout did not converge: %+v (versions %v)",
+				trial, async.Rollout, async.ModelVersions)
 		}
 		arep := async.Async
 		if arep == nil {
@@ -91,8 +116,8 @@ func TestAsyncPipelineEquivalence(t *testing.T) {
 				trial, arep.PeakLive, len(async.DeviceResults))
 		}
 		if !schedOn {
-			if arep.Parks != 0 {
-				t.Fatalf("trial %d: %d groups parked with no scheduler wired", trial, arep.Parks)
+			if arep.Parks != 0 && cfg.Rollout == nil {
+				t.Fatalf("trial %d: %d tasks parked with no scheduler or rollout", trial, arep.Parks)
 			}
 			continue
 		}
@@ -132,14 +157,14 @@ func TestAsyncPipelineEquivalence(t *testing.T) {
 // rebalance reports must stay internally consistent.
 func TestAsyncPipelineUnderChaosRace(t *testing.T) {
 	res, err := Run(Config{
-		Devices:    48,
-		Shards:     3,
-		Utterances: 2,
-		Frames:     2,
-		Seed:       11,
-		Churn:      &ChurnSpec{JoinFraction: 0.25, LeaveFraction: 0.25},
-		Sched:      &SchedSpec{Batch: 4, MaxAge: 200_000},
-		Async:      &AsyncSpec{Executors: 8},
+		Devices:       48,
+		Shards:        3,
+		Utterances:    2,
+		Frames:        2,
+		Seed:          11,
+		Churn:         &ChurnSpec{JoinFraction: 0.25, LeaveFraction: 0.25},
+		Sched:         &SchedSpec{Batch: 4, MaxAge: 200_000},
+		DeviceWorkers: 8,
 		// Drain a shard the crash schedule does not target (crash targets
 		// rotate from shard-00; a drained target would skip the crash).
 		Rebalance: &RebalanceSpec{AtFraction: 0.5, AddShards: 1, DrainShard: 2},
@@ -218,7 +243,6 @@ func TestAsyncSchedOccupancy(t *testing.T) {
 		Shards:  8,
 		Seed:    1,
 		Sched:   &SchedSpec{}, // defaults: batch core.MaxBatch
-		Async:   &AsyncSpec{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -369,8 +393,8 @@ func TestAsyncEngineWakeOnPartialGroupFlush(t *testing.T) {
 // executor could probe NotifyIdle while that flush was still in flight,
 // find nothing to cut, and sleep with no wakeup ever coming: the leftover
 // entries sat below the batch size, the scheduler clock was frozen, and
-// run() hung forever. The async run must terminate and stay bit-identical
-// to the synchronous path.
+// run() hung forever. The run must terminate and stay bit-identical to
+// the strictly sequential unscheduled run of the same seed.
 func TestAsyncPartialGroupCutLiveness(t *testing.T) {
 	for seed := uint64(0); seed < 24; seed++ {
 		// An all-secure-filter population whose admissions exhaust
@@ -390,12 +414,9 @@ func TestAsyncPartialGroupCutLiveness(t *testing.T) {
 			Sched:            &SchedSpec{Batch: 4, MaxAge: 1 << 40, Workers: 1},
 			Seed:             7000 + seed,
 		}
-		plain, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("seed %d sync: %v", cfg.Seed, err)
-		}
+		plain := sequentialRun(t, cfg)
 		acfg := cfg
-		acfg.Async = &AsyncSpec{Executors: 2}
+		acfg.DeviceWorkers = 2
 		type outcome struct {
 			res *Result
 			err error
@@ -424,35 +445,194 @@ func TestAsyncPartialGroupCutLiveness(t *testing.T) {
 		}
 		for i := range plain.DeviceResults {
 			if got, want := fingerprint(async.DeviceResults[i]), fingerprint(plain.DeviceResults[i]); got != want {
-				t.Fatalf("seed %d device %d diverged:\n async: %s\n  sync: %s", cfg.Seed, i, got, want)
+				t.Fatalf("seed %d device %d diverged:\n got: %s\n want: %s", cfg.Seed, i, got, want)
 			}
 		}
 	}
 }
 
-// TestAsyncRolloutRejected: the async engine cannot compose with a staged
-// rollout (converge's full-population barrier would starve the bounded
-// executor pool), so the combination is ErrBadConfig up front — never a
-// deadlock. Bad executor counts are surfaced the same way.
-func TestAsyncRolloutRejected(t *testing.T) {
-	_, err := Run(Config{
-		Devices:    4,
-		Utterances: 1,
-		Seed:       3,
-		Rollout:    &RolloutSpec{CanaryFraction: 0.25},
-		Async:      &AsyncSpec{},
-	})
-	if !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("rollout+async: got %v, want ErrBadConfig", err)
+// rolloutSchedConfig is the population the rollout-composition tests
+// run on one executor: device 3 is the first secure-filter device and
+// the whole canary cohort, a speaker whose classify groups park on the
+// shared scheduler until the executor runs out of admissions, while
+// every later secure-filter device must wait for its verdict. A waiter
+// holding the only executor would keep the canary's flush from ever
+// being cut.
+func rolloutSchedConfig() Config {
+	return Config{
+		Devices:       24,
+		Shards:        2,
+		Utterances:    2,
+		Frames:        2,
+		Batch:         2,
+		Seed:          31,
+		Sched:         &SchedSpec{Batch: 8, MaxAge: 1 << 40},
+		Rollout:       &RolloutSpec{CanaryFraction: 0.1},
+		DeviceWorkers: 1,
 	}
-	_, err = Run(Config{
-		Devices:    4,
-		Utterances: 1,
-		Seed:       3,
-		Async:      &AsyncSpec{Executors: -1},
-	})
-	if !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("negative executors: got %v, want ErrBadConfig", err)
+}
+
+// scheduledGroups is how many classify groups the population parks on
+// the shared scheduler: every secure-filter speaker's utterances, in
+// device-batch groups. Parks beyond it are devices held for the rollout
+// verdict.
+func scheduledGroups(t *testing.T, cfg Config) uint64 {
+	t.Helper()
+	specs, err := Plan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n uint64
+	for _, s := range specs {
+		if s.Kind == core.DeviceSpeaker && s.Mode == core.ModeSecureFilter {
+			n += uint64((cfg.Utterances + cfg.Batch - 1) / cfg.Batch)
+		}
+	}
+	return n
+}
+
+// runWithin runs the fleet, failing the test if it does not return in
+// time (a starved executor pool hangs forever).
+func runWithin(t *testing.T, cfg Config) (*Result, error) {
+	t.Helper()
+	type outcome struct {
+		res *Result
+		err error
+	}
+	ch := make(chan outcome, 1)
+	go func() {
+		res, err := Run(cfg)
+		ch <- outcome{res, err}
+	}()
+	select {
+	case o := <-ch:
+		return o.res, o.err
+	case <-time.After(60 * time.Second):
+		t.Fatal("run hung: devices waiting for the rollout verdict starved the canary")
+		return nil, nil
+	}
+}
+
+// TestAsyncRolloutComposesWithSched pins the executor-starvation case:
+// scheduler and staged rollout on one executor. Devices waiting for the canary verdict park instead of
+// holding the executor, so the run terminates, every secure-filter
+// device converges on the new pack, and per-device audits equal the
+// strictly sequential unscheduled run of the same seed.
+func TestAsyncRolloutComposesWithSched(t *testing.T) {
+	cfg := rolloutSchedConfig()
+	res, err := runWithin(t, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LostFrames() != 0 {
+		t.Fatalf("lost %d frames", res.LostFrames())
+	}
+	rep := res.Rollout
+	if rep == nil || rep.Canary != 1 || !rep.Converged || len(rep.Rollbacks) != 0 {
+		t.Fatalf("rollout did not converge: %+v (versions %v)", rep, res.ModelVersions)
+	}
+	secure := 0
+	for _, dr := range res.DeviceResults {
+		if dr.Spec.Mode != core.ModeBaseline {
+			secure++
+		}
+	}
+	if len(res.ModelVersions) != 1 || res.ModelVersions[rep.ToVersion] != secure {
+		t.Fatalf("model versions %v, want all %d model-bearing devices on v%d",
+			res.ModelVersions, secure, rep.ToVersion)
+	}
+	groups := scheduledGroups(t, cfg)
+	if res.Async.Parks <= groups {
+		t.Fatalf("%d parks for %d scheduled groups: no device was held for the rollout verdict",
+			res.Async.Parks, groups)
+	}
+	if res.Sched == nil || res.Sched.MixedVersionFlushes != 0 || res.Sched.ItemsByVersion[rep.ToVersion] == 0 {
+		t.Fatalf("scheduler report missing, version-mixed or without canary items: %+v", res.Sched)
+	}
+	plain := sequentialRun(t, cfg)
+	for i := range plain.DeviceResults {
+		if got, want := fingerprint(res.DeviceResults[i]), fingerprint(plain.DeviceResults[i]); got != want {
+			t.Fatalf("device %d diverged from the sequential run:\n got: %s\n want: %s", i, got, want)
+		}
+	}
+}
+
+// TestAsyncRolloutFailureAborts: the canary fails mid-rollout — its
+// shared classify flush errors — while other secure-filter devices are
+// held for its verdict. The run returns the failure without hanging, the
+// failure aborts the rollout, and every held waiter ends on the base
+// pack with a rollback record. The scheduler is the run's own except for
+// the failing executor, which is the only seam Run does not expose.
+func TestAsyncRolloutFailureAborts(t *testing.T) {
+	cfg := rolloutSchedConfig()
+	specs, err := Plan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = cfg.fillDefaults()
+	if err := core.Pretrain(specs); err != nil {
+		t.Fatal(err)
+	}
+	st, err := newAttestState(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := []*cloud.Shard{cloud.NewShard("shard-00", 2, 4), cloud.NewShard("shard-01", 2, 4)}
+	router, err := cloud.NewRouter(shards, cfg.HashReplicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	router.SetGate(st.gate())
+	sc, err := newSchedControl(cfg, st, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errCrash := errors.New("canary classifier crashed")
+	sc.scheduler, err = sched.New(sched.Config{Batch: cfg.Sched.Batch, MaxAge: cfg.Sched.MaxAge, Workers: 1},
+		func(version uint64, items [][]int) ([]bool, tz.Cycles, error) {
+			if version == st.next.Version {
+				return nil, 0, errCrash
+			}
+			return sc.execute(version, items)
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := make([]int, len(specs))
+	for i := range order {
+		order[i] = i
+	}
+	r := &runner{cfg: cfg, st: st, router: router, sched: sc, results: make([]*core.DeviceResult, len(specs))}
+	eng := newAsyncEngine(r, specs, order)
+	done := make(chan error, 1)
+	go func() { done <- eng.run() }()
+	select {
+	case err = <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("run hung after the canary failed: parked waiters were never woken")
+	}
+	sc.scheduler.Drain()
+	if !errors.Is(err, errCrash) {
+		t.Fatalf("run returned %v, want the canary's classify failure", err)
+	}
+	aborted, reason := st.rollout.Aborted()
+	if !aborted || st.rollout.Full() || !strings.Contains(reason, errCrash.Error()) {
+		t.Fatalf("rollout aborted=%v full=%v reason %q", aborted, st.rollout.Full(), reason)
+	}
+	// Every classify group carries Batch (2) utterances, so the scheduler's
+	// item count fixes the group parks; the rest were verdict holds.
+	held := eng.report().Parks - sc.scheduler.Stats().Items/uint64(cfg.Batch)
+	if held == 0 {
+		t.Fatal("no device was held for the verdict when the canary failed")
+	}
+	if uint64(len(st.rollbacks)) != held {
+		t.Fatalf("%d rollback records for %d held waiters", len(st.rollbacks), held)
+	}
+	for _, rb := range st.rollbacks {
+		if rb.Reason != reason || rb.FromVersion != st.base.Version || rb.ToVersion != st.next.Version {
+			t.Fatalf("bad rollback record %+v (abort reason %q)", rb, reason)
+		}
 	}
 }
 

@@ -9,9 +9,9 @@ package fleet
 // shard frontend without touching an endpoint. With Config.Rollout the
 // provider additionally publishes a version-2 model pack behind a canary
 // quota: the first cohort of secure devices updates (manifest-verified,
-// sealed, hot-swapped in the TA) before processing, the rest hold the
-// base pack until every canary device completes successfully, then the
-// rollout opens and the whole fleet converges on the new version.
+// sealed, hot-swapped in the TA) before processing, the rest wait for
+// every canary device to complete successfully, then the rollout opens
+// and the whole fleet converges on the new version.
 
 import (
 	"fmt"
@@ -282,9 +282,9 @@ func (st *attestState) manifest(id, tenant string, pack attest.Pack) (attest.Man
 
 // provision brings the device to its current rollout target. Devices
 // that exercise the classifier (secure-filter) go through the staged
-// cohort: canaries update before processing, the rest hold the base
-// pack until the canary verdict, and devices joining after the rollout
-// opened get the newest version immediately. Secure devices that never
+// cohort: canaries update before processing, the rest are held back
+// (holdBack) until the canary verdict and then get the newest version,
+// or keep the base pack if the rollout aborted. Secure devices that never
 // run the classifier (nofilter speakers) sit outside the staging — the
 // new pack cannot misbehave on them, so they take it at once and the
 // canary verdict stays meaningful.
@@ -322,31 +322,46 @@ func (st *attestState) handshake(d *core.Device, id, tenant string) error {
 	return nil
 }
 
+// holdBack reports whether a device must wait for the canary verdict
+// before it is built. A secure-filter device that gets no canary slot
+// while the rollout is staged would run its whole workload on the base
+// pack; instead the caller parks it, unbuilt, until the rollout settles.
+// A parked device holds no pipeline and no executor, so a canary parked
+// on a scheduler flush is never starved by its waiters, and every
+// device's workload runs on the pack a sequential run gives it. Asking
+// for the target is what grants canary slots, in admission order.
+func (st *attestState) holdBack(spec core.DeviceSpec) bool {
+	if st == nil || st.rollout == nil || spec.Mode != core.ModeSecureFilter || st.rollout.Full() {
+		return false
+	}
+	if aborted, _ := st.rollout.Aborted(); aborted {
+		return false
+	}
+	return st.rollout.Target(spec.DeviceID).Version < st.rollout.LatestVersion()
+}
+
 // converge is the post-workload rollout step for staged (secure-filter)
 // devices: report the outcome (canary successes open the rollout), then
-// — if the device is still on the base pack — wait for the canary
-// verdict, update to the newest version and re-attest so the verifier
-// observes convergence. Only cohort members can be waiting here, and a
-// cohort slot is denied only once every slot is granted to a device
-// that started earlier, so the bounded worker pool cannot deadlock.
+// — if the device is still on the base pack — follow the verdict. Held
+// back until the rollout settled (holdBack), a device finishes on the
+// base pack only when the rollout aborted; it keeps the base pack and
+// the abort leaves a structured trail instead of a silently stale
+// fleet. If the rollout opened after all (the remaining canaries
+// reported after the abort), it updates to the newest version and
+// re-attests so the verifier observes convergence.
 //
 // A leaving device reports its outcome (its truncated workload did
-// complete on its granted version) but never waits for the verdict —
-// it is departing, and a blocked leaver could wedge the worker pool.
+// complete on its granted version) but never converges — it is
+// departing.
 func (st *attestState) converge(d *core.Device, id, tenant string, leaving bool) error {
 	if st.rollout == nil || d.Spec.Mode != core.ModeSecureFilter {
 		return nil
 	}
 	st.rollout.ReportSuccess(id)
-	if d.ModelVersion() >= st.rollout.LatestVersion() {
+	if leaving || d.ModelVersion() >= st.rollout.LatestVersion() {
 		return nil
 	}
-	if leaving {
-		return nil
-	}
-	if !st.rollout.AwaitFull() {
-		// Rollout aborted: the device keeps the base pack, and the abort
-		// leaves a structured trail instead of a silently stale fleet.
+	if !st.rollout.Full() {
 		_, reason := st.rollout.Aborted()
 		st.recordRollback(id, d.ModelVersion(), st.rollout.LatestVersion(), reason)
 		return nil

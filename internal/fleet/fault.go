@@ -19,6 +19,7 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -245,6 +246,13 @@ func (fd *faultDriver) noteDone() {
 			fd.queued += queued
 			fd.mu.Unlock()
 		}
+	}
+	if fire > 0 {
+		// Hand this goroutine's CPU to the supervisor the crash just woke.
+		// An executor never blocks between devices, so on a small
+		// GOMAXPROCS the restart would otherwise wait out a preemption
+		// slice, stretching the outage over the devices run meanwhile.
+		runtime.Gosched()
 	}
 }
 

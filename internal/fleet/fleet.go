@@ -55,7 +55,6 @@ type Config struct {
 	// baseline : secure-nofilter : secure-filter. Doorbells alternate
 	// baseline and secure-filter (the no-filter middle mode is
 	// meaningless for images), plus hybrid-he when the mix weights it.
-	// The historical positional form converts via LegacyMix.
 	Mix MixSpec
 
 	// Shards is the number of ingest partitions; default 4.
@@ -69,11 +68,9 @@ type Config struct {
 	// default 64.
 	HashReplicas int
 
-	// DeviceWorkers bounds concurrently running device pipelines;
-	// default GOMAXPROCS. Ignored when Async is set: the event-driven
-	// engine's concurrency is bounded by Async.Executors instead (the
-	// periguard-fleet CLI rejects -workers combined with -async so the
-	// precedence cannot pass silently).
+	// DeviceWorkers sizes the executor pool that drives device tasks;
+	// default GOMAXPROCS. Devices parked on a shared classify flush or a
+	// rollout verdict hold no executor.
 	DeviceWorkers int
 	// Batch is the TA batch size for secure speakers (1 disables
 	// batching); default 4, capped at core.MaxBatch. When the cap
@@ -89,13 +86,11 @@ type Config struct {
 	// machinery only. Nil keeps the per-device path.
 	Sched *SchedSpec
 
-	// Async replaces the goroutine-per-device worker pool with the
-	// event-driven continuation engine: device state lives in a task
-	// table driven by a bounded executor pool, and scheduled secure-filter
-	// speakers park between transcription and the shared classify flush
-	// (capture → enqueue → batched classify → uplink as continuations)
-	// instead of blocking a goroutine per device. Audits are bit-identical
-	// to the synchronous path. Nil keeps the per-device worker pool.
+	// Async once selected the event-driven engine, which is now the only
+	// engine; Result.Async reports it on every run.
+	//
+	// Deprecated: Async has no effect; DeviceWorkers sizes the executor
+	// pool.
 	Async *AsyncSpec
 
 	// Utterances per speaker (default 4) and Frames per doorbell
@@ -238,18 +233,6 @@ func (c *Config) fillDefaults() error {
 	if c.Sched != nil {
 		if err := c.Sched.fillDefaults(c.Batch); err != nil {
 			return err
-		}
-	}
-	if c.Async != nil {
-		if err := c.Async.fillDefaults(); err != nil {
-			return err
-		}
-		// Rollout convergence blocks in AwaitFull until the canary cohort
-		// reports; on a bounded executor pool the blocked non-canary tasks
-		// would occupy every executor and starve the canaries they wait
-		// for. The composition is rejected rather than allowed to deadlock.
-		if c.Rollout != nil {
-			return fmt.Errorf("%w: the async pipeline cannot compose with a staged rollout", ErrBadConfig)
 		}
 	}
 	if c.Utterances <= 0 {
@@ -475,8 +458,7 @@ type Result struct {
 	// Sched summarizes the cross-device scheduler's flush behavior (nil
 	// when the per-device classify path ran).
 	Sched *SchedReport
-	// Async summarizes the event-driven engine's execution (nil when the
-	// per-device worker pool ran).
+	// Async summarizes the engine's execution.
 	Async *AsyncReport
 
 	// Attested-run observability (zero values outside Attest mode).
@@ -620,21 +602,21 @@ func (r *Result) GroupKeys() []GroupKey {
 //
 // Device provisioning is lazy: the build phase trains only the shared
 // immutable model pack (ASR templates, text and image classifiers), and
-// each device pipeline is constructed by the worker that is about to
-// feed it its first workload item, then released as soon as its result
-// is recorded. A thousand-device fleet therefore holds device pipelines
-// for at most DeviceWorkers devices at a time instead of the whole
-// population, which keeps the working set (and the GC) fleet-size
-// independent.
+// each device pipeline is constructed by the executor that admits it,
+// then released as soon as its result is recorded. A thousand-device
+// fleet therefore holds device pipelines for about DeviceWorkers devices
+// (plus parked ones) at a time instead of the whole population, which
+// keeps the working set (and the GC) fleet-size independent.
 //
-// In Attest mode each worker additionally runs the handshake before the
-// device's endpoint joins the ring (provision to the rollout target →
-// challenge → TA-signed report → verify), and after the workload the
-// rollout convergence step (canary success reporting, then update +
-// re-attest once the rollout opens). Default runs are bit-deterministic
-// per root seed; rollout runs keep every aggregate invariant (zero lost
-// frames, converged versions) but which devices serve as canaries
-// depends on worker scheduling.
+// In Attest mode each device additionally runs the handshake before its
+// endpoint joins the ring (provision to the rollout target → challenge →
+// TA-signed report → verify), and after the workload the rollout
+// convergence step (canary success reporting). While a staged rollout's
+// canaries are out, a secure-filter device with no canary slot parks
+// before it is built and runs once the rollout opens, so every device's
+// workload runs on the pack a sequential run gives it: runs are
+// bit-deterministic per root seed, though which devices serve as
+// canaries depends on executor scheduling.
 //
 // With Config.Churn the population is elastic: joiners arrive mid-run
 // and run the same full per-device flow against the verifier's *current*
@@ -754,29 +736,11 @@ func Run(cfg Config) (*Result, error) {
 		r.reb = newRebalancer(cfg, router, len(all))
 	}
 	runStart := time.Now()
-	var runErr error
-	var eng *asyncEngine
-	if cfg.Async != nil {
-		// Event-driven mode: device state is table entries driven by the
-		// bounded executor pool; scheduled speakers park between
-		// transcription and the shared flush. Rollout is gated off in
-		// fillDefaults, so no abort hook is needed here.
-		eng = newAsyncEngine(r, all, order)
-		runErr = eng.run()
-	} else {
-		runErr = eachDevice(order, cfg.DeviceWorkers, func(i int) error {
-			err := r.runOne(all[i], i)
-			if err != nil && st != nil && st.rollout != nil {
-				reason := fmt.Sprintf("device failure: %v", err)
-				tracer.Anomaly("rollout-abort", reason)
-				st.rollout.Abort(reason)
-			}
-			return err
-		})
-	}
+	eng := newAsyncEngine(r, all, order)
+	runErr := eng.run()
 	if sc != nil {
-		// Drain on both paths: an errored run must not strand scheduler
-		// workers (or entries another still-healthy device is waiting on).
+		// Drain even after an error: an errored run must not strand
+		// scheduler workers (or entries a still-healthy device waits on).
 		sc.scheduler.Drain()
 	}
 	if runErr != nil {
@@ -815,9 +779,7 @@ func Run(cfg Config) (*Result, error) {
 	res := aggregate(cfg, buildWall, runWall, r, router)
 	res.RequestedBatch = requestedBatch
 	res.EffectiveBatch = cfg.Batch
-	if eng != nil {
-		res.Async = eng.report()
-	}
+	res.Async = eng.report()
 	if sc != nil {
 		res.Sched = sc.report(cfg.Sched)
 		tracer.Flushes(res.Sched.Flushes)
@@ -840,7 +802,7 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// runner carries the per-run shared state of the device workers.
+// runner carries the per-run shared state of the device executors.
 type runner struct {
 	cfg     Config
 	st      *attestState
@@ -855,10 +817,9 @@ type runner struct {
 }
 
 // devCtx carries one device's constructed pipeline between the setup,
-// run and finish stages of the per-device flow. The synchronous path
-// composes the stages on one worker goroutine (runOne); the async engine
-// holds the context in its task table across classify parks instead of
-// on a stack frame.
+// run and finish stages of the per-device flow. The engine holds it in
+// its task table across classify and rollout parks instead of on a stack
+// frame.
 type devCtx struct {
 	i        int
 	spec     core.DeviceSpec
@@ -888,36 +849,6 @@ func (dc *devCtx) close(r *runner) {
 	})
 }
 
-// runOne is the per-worker pipeline: workload → build → provision to the
-// rollout target → (lifecycle) rotation issued → attested handshake →
-// register → process → rotation redeemed + re-attested → rollout
-// convergence → (lifecycle) revocation + probes → (leavers) clean
-// release.
-func (r *runner) runOne(spec core.DeviceSpec, i int) error {
-	dc, err := r.setupOne(spec, i)
-	if err != nil {
-		return err
-	}
-	defer dc.close(r)
-	// A shared-classify device is a scheduler producer exactly for the
-	// span of its run — the only window it can submit in. Registering the
-	// worker goroutine instead would deadlock: a worker parked in
-	// converge (AwaitFull) blocks on a canary's completion, the canary
-	// blocks in Classify on a flush, and the flush's idle rule would wait
-	// for the parked worker to block in Classify — which it never will.
-	if dc.spec.SharedClassify {
-		r.sched.scheduler.AddProducer()
-	}
-	res, err := dc.d.Run(dc.w)
-	if dc.spec.SharedClassify {
-		r.sched.scheduler.ProducerDone()
-	}
-	if err != nil {
-		return fmt.Errorf("device %d: %w", i, err)
-	}
-	return r.finishOne(dc, res)
-}
-
 // setupOne is the front half of the per-device flow: derive the
 // workload, build the pipeline, provision/attest, register the endpoint
 // and wire the uplink. Everything up to — but not including — processing.
@@ -932,17 +863,13 @@ func (r *runner) setupOne(spec core.DeviceSpec, i int) (*devCtx, error) {
 	}
 	// Scheduled mode: secure-filter speakers skip the per-device
 	// classifier build and submit classify batches to the shared
-	// scheduler instead. This covers base population and joiners alike —
-	// both funnel through runOne.
+	// scheduler instead. This covers base population and joiners alike.
 	if r.sched != nil && spec.Kind == core.DeviceSpeaker && spec.Mode == core.ModeSecureFilter {
 		spec.SharedClassify = true
 	}
 	d, err := core.NewDevice(spec)
 	if err != nil {
 		return nil, fmt.Errorf("device %d: %w", i, err)
-	}
-	if spec.SharedClassify {
-		d.SetClassifyService(r.sched)
 	}
 	id := spec.DeviceID
 	tenant := tenantFor(r.cfg, i)
@@ -1019,7 +946,6 @@ func (r *runner) setupOne(spec core.DeviceSpec, i int) (*devCtx, error) {
 // workload: rotation redeemed + re-attested, rollout convergence,
 // revocation probes, leaver release, result recording.
 func (r *runner) finishOne(dc *devCtx, res *core.DeviceResult) error {
-	defer dc.close(r)
 	i, d, id, tenant, leaving := dc.i, dc.d, dc.id, dc.tenant, dc.leaving
 	if r.st != nil {
 		if dc.rotating && !leaving {
@@ -1065,47 +991,6 @@ func (r *runner) finishOne(dc *devCtx, res *core.DeviceResult) error {
 		r.fd.noteDone()
 	}
 	return nil
-}
-
-// eachDevice runs fn over the device indices in arrival order on a
-// bounded worker pool, returning the first error.
-func eachDevice(order []int, workers int, fn func(i int) error) error {
-	if workers > len(order) {
-		workers = len(order)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	next := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for _, i := range order {
-		mu.Lock()
-		failed := firstErr != nil
-		mu.Unlock()
-		if failed {
-			break
-		}
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return firstErr
 }
 
 // workloadFor derives device i's labelled workload from the root seed.

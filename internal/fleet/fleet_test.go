@@ -187,7 +187,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Devices: 4, DoorbellFraction: 1.5}); err == nil {
 		t.Fatal("accepted doorbell fraction > 1")
 	}
-	if _, err := Run(Config{Devices: 4, Mix: LegacyMix([3]int{-1, 1, 1})}); err == nil {
+	if _, err := Run(Config{Devices: 4, Mix: MixSpec{core.ModeBaseline: -1, core.ModeSecureNoFilter: 1, core.ModeSecureFilter: 1}}); err == nil {
 		t.Fatal("accepted negative mix weight")
 	}
 }

@@ -29,22 +29,6 @@ func DefaultMix() MixSpec {
 	}
 }
 
-// LegacyMix converts the historical positional form (baseline :
-// secure-nofilter : secure-filter) to a MixSpec. The zero value maps to
-// nil — "use the default" — exactly as the positional field did.
-//
-// Deprecated: build a MixSpec keyed by core.Mode directly.
-func LegacyMix(mix [3]int) MixSpec {
-	if mix == ([3]int{}) {
-		return nil
-	}
-	return MixSpec{
-		core.ModeBaseline:       mix[0],
-		core.ModeSecureNoFilter: mix[1],
-		core.ModeSecureFilter:   mix[2],
-	}
-}
-
 // String renders the spec in registry order as "baseline=1,..." —
 // the same form ParseMix accepts. Zero-weight entries are elided.
 func (m MixSpec) String() string {
