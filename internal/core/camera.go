@@ -798,6 +798,8 @@ func (s *CameraSystem) runHybrid(scenes []peripheral.Scene, res *CameraSessionRe
 	var grabs []tz.Cycles
 	frame := make([]byte, cameraFrameBytes)
 	feats := make([]float32, cameraFrameBytes)
+	w := heWirePool.Get().(*heWire)
+	defer heWirePool.Put(w)
 	for range scenes {
 		start := s.Clock.Now()
 		im, scene, ok := s.Camera.Capture()
@@ -817,21 +819,18 @@ func (s *CameraSystem) runHybrid(scenes []peripheral.Scene, res *CameraSessionRe
 		}
 		grabs = append(grabs, s.Clock.Now()-start)
 
-		ct, err := s.HEEval.Encrypt(s.HEPub, feats, []int{cameraFrameSide, cameraFrameSide, 1})
+		w.handoff = w.handoff[:0]
+		radio, err := w.roundTrip(s.HEEval, s.HEPub, feats, []int{cameraFrameSide, cameraFrameSide, 1}, s.HE.AppendEvalImage)
 		if err != nil {
-			return fmt.Errorf("camera hybrid encrypt: %w", err)
-		}
-		wire := ct.Marshal(s.HEEval.Params)
-		resBlob, err := s.HE.EvalImage(wire)
-		if err != nil {
-			return fmt.Errorf("camera hybrid eval: %w", err)
+			return fmt.Errorf("camera hybrid: %w", err)
 		}
 		s.mu.Lock()
-		s.radioBytes += uint64(len(wire) + len(resBlob))
+		s.radioBytes += uint64(radio)
 		s.mu.Unlock()
 
+		// CmdCameraFinishHE takes the one result blob without its prefix.
 		p := &optee.Params{
-			{Type: optee.MemrefIn, Buf: resBlob},
+			{Type: optee.MemrefIn, Buf: w.handoff[4:]},
 			{Type: optee.MemrefIn, Buf: frame},
 			{},
 		}

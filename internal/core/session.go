@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/audio"
 	"repro/internal/cloud"
+	"repro/internal/he"
 	"repro/internal/i2s"
 	"repro/internal/kernel"
 	"repro/internal/metrics"
@@ -483,6 +484,38 @@ func (s *System) runSecureUtterance(sess *teec.Session, i int, u sensitive.Utter
 	return out, nil
 }
 
+// heWire is the normal world's buffer pair for the hybrid HE round
+// trip, shared by both device kinds: wire holds one device ciphertext on
+// its way to the provider, and handoff collects the provider's result
+// blobs, length-prefixed, for the TA command that decrypts them. The
+// normal world takes one from heWirePool per speaker group or doorbell
+// session and puts it back only after that command has returned: the
+// TA decodes every blob into its own ciphertext before Invoke returns
+// and keeps no reference into the buffer.
+type heWire struct{ wire, handoff []byte }
+
+var heWirePool = sync.Pool{New: func() any { return new(heWire) }}
+
+// roundTrip encrypts one feature tensor under pub, marshals it into
+// w.wire, and has the provider's eval append its result blob to
+// w.handoff as one length-prefixed entry. It returns the hop's radio
+// bytes: the ciphertext up plus the result down.
+func (w *heWire) roundTrip(ev *he.Evaluator, pub he.PublicKey, data []float32, shape []int, eval func(dst, wire []byte) ([]byte, error)) (int, error) {
+	ct, err := ev.Encrypt(pub, data, shape)
+	if err != nil {
+		return 0, fmt.Errorf("encrypt: %w", err)
+	}
+	w.wire = ct.AppendMarshal(w.wire[:0], ev.Params)
+	before := len(w.handoff)
+	w.handoff, err = appendLengthPrefixed(w.handoff, func(dst []byte) ([]byte, error) {
+		return eval(dst, w.wire)
+	})
+	if err != nil {
+		return 0, fmt.Errorf("eval: %w", err)
+	}
+	return len(w.wire) + len(w.handoff) - before - 4, nil
+}
+
 // hybridProcessGroup runs one group of utterances through the hybrid
 // HE+TEE split. The TA captures and transcribes the group, staging it
 // (CmdTranscribeBatch); the normal world runs the embedding head over
@@ -502,7 +535,9 @@ func (s *System) hybridProcessGroup(sess *teec.Session, lo int, group []sensitiv
 	if len(tokens) != len(group) {
 		return fmt.Errorf("hybrid stage: %d token sets for %d utterances", len(tokens), len(group))
 	}
-	blobs := make([][]byte, len(tokens))
+	w := heWirePool.Get().(*heWire)
+	defer heWirePool.Put(w)
+	w.handoff = w.handoff[:0]
 	feats := make([]float32, s.heSplit.SeqLen)
 	for i, ids := range tokens {
 		for j := range feats {
@@ -515,23 +550,16 @@ func (s *System) hybridProcessGroup(sess *teec.Session, lo int, group []sensitiv
 		if err != nil {
 			return fmt.Errorf("hybrid embed %d: %w", i, err)
 		}
-		ct, err := s.HEEval.Encrypt(s.HEPub, data, shape)
+		radio, err := w.roundTrip(s.HEEval, s.HEPub, data, shape, s.HE.AppendEvalText)
 		if err != nil {
-			return fmt.Errorf("hybrid encrypt %d: %w", i, err)
+			return fmt.Errorf("hybrid %d: %w", i, err)
 		}
-		wire := ct.Marshal(s.HEEval.Params)
-		res, err := s.HE.EvalText(wire)
-		if err != nil {
-			return fmt.Errorf("hybrid eval %d: %w", i, err)
-		}
-		// Ciphertext traffic rides the radio in both directions.
 		s.mu.Lock()
-		s.radioBytes += uint64(len(wire) + len(res))
+		s.radioBytes += uint64(radio)
 		s.mu.Unlock()
-		blobs[i] = res
 	}
 
-	p := &optee.Params{{Type: optee.MemrefIn, Buf: packLengthPrefixed(blobs)}, {}}
+	p := &optee.Params{{Type: optee.MemrefIn, Buf: w.handoff}, {}}
 	if err := sess.InvokeCommand(CmdResumeBatchHE, p); err != nil {
 		return fmt.Errorf("hybrid resume: %w", err)
 	}

@@ -717,18 +717,25 @@ func (t *VoiceTA) takePending(n int) ([]ProcessedUtterance, error) {
 	return recs, nil
 }
 
-// packLengthPrefixed concatenates blobs as little-endian uint32 byte
-// lengths followed by the bytes — the MemrefIn wire form of the HE
-// handoff commands.
-func packLengthPrefixed(blobs [][]byte) []byte {
-	size := 0
-	for _, b := range blobs {
-		size += 4 + len(b)
+// appendLengthPrefixed appends one entry of the MemrefIn wire form of
+// the HE handoff commands to dst: a little-endian uint32 byte length
+// followed by the bytes fill appends. The length is written after fill
+// returns, so a producer can append straight into the handoff buffer.
+// On error dst is returned unextended.
+func appendLengthPrefixed(dst []byte, fill func([]byte) ([]byte, error)) ([]byte, error) {
+	out, err := fill(append(dst, 0, 0, 0, 0))
+	if err != nil {
+		return dst, err
 	}
-	out := make([]byte, 0, size)
+	binary.LittleEndian.PutUint32(out[len(dst):], uint32(len(out)-len(dst)-4))
+	return out, nil
+}
+
+// packLengthPrefixed concatenates blobs in the handoff wire form.
+func packLengthPrefixed(blobs [][]byte) []byte {
+	var out []byte
 	for _, b := range blobs {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(b)))
-		out = append(out, b...)
+		out, _ = appendLengthPrefixed(out, func(dst []byte) ([]byte, error) { return append(dst, b...), nil })
 	}
 	return out
 }

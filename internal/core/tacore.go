@@ -436,6 +436,7 @@ func (c *taCore) send(ev relay.Event) (sent, error) {
 type heHandoff struct {
 	sk   he.SecretKey
 	eval *he.Evaluator
+	ct   he.Ciphertext // decode target, reused across the handoff's blobs
 	heTail
 }
 
@@ -477,8 +478,8 @@ func (c *taCore) openHandoff() (*heHandoff, error) {
 // another depth, or more budget than the split's depth leaves, would let
 // the provider reset the budget, so it is refused before the decrypt.
 func (h *heHandoff) verdict(blob []byte) (bool, error) {
-	ct, err := h.eval.Unmarshal(blob)
-	if err != nil {
+	ct := &h.ct
+	if err := h.eval.UnmarshalInto(ct, blob); err != nil {
 		return false, err
 	}
 	p := h.eval.Params

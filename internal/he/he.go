@@ -31,7 +31,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
+	"repro/internal/ml/tensor"
 	"repro/internal/tz"
 )
 
@@ -210,16 +212,11 @@ func (e *Evaluator) charge(slots int, per tz.Cycles) {
 	}
 }
 
+// numel is tensor.Numel with this package's typed error.
 func numel(shape []int) (int, error) {
-	n := 1
-	for _, d := range shape {
-		if d <= 0 {
-			return 0, fmt.Errorf("%w: dimension %d", ErrShape, d)
-		}
-		if n > math.MaxInt/d {
-			return 0, fmt.Errorf("%w: element count of %v overflows", ErrShape, shape)
-		}
-		n *= d
+	n, err := tensor.Numel(shape)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrShape, err)
 	}
 	return n, nil
 }
@@ -418,94 +415,113 @@ func (c *Ciphertext) Size(p Params) int {
 	return 4 + 8 + 4 + 4 + 4 + 4*len(c.shape) + 4 + len(c.data)*4*p.Expansion
 }
 
-// Marshal encodes the ciphertext for the wire. Slot blocks are masked
-// with a key-stream derived from the key ID, then padded to the
-// expansion factor with deterministic filler: the encoding is
-// reproducible, Expansion× the plaintext size, and never contains the
-// raw feature bytes.
-func (c *Ciphertext) Marshal(p Params) []byte {
-	buf := make([]byte, 0, c.Size(p))
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], ciphertextMagic)
-	buf = append(buf, hdr[:4]...)
-	binary.LittleEndian.PutUint64(hdr[:], c.keyID)
-	buf = append(buf, hdr[:]...)
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(c.level))
-	buf = append(buf, hdr[:4]...)
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(c.noise))
-	buf = append(buf, hdr[:4]...)
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(c.shape)))
-	buf = append(buf, hdr[:4]...)
+// Marshal encodes the ciphertext for the wire into a fresh slice.
+func (c *Ciphertext) Marshal(p Params) []byte { return c.AppendMarshal(nil, p) }
+
+// AppendMarshal appends the ciphertext's wire encoding to dst and
+// returns the extended slice. Slot blocks are masked with a key stream
+// derived from the key ID and padded to the expansion factor with the
+// rest of that stream: the encoding is reproducible, Expansion× the
+// plaintext size, and never contains the raw feature bytes. The blocks
+// are written in place, so a dst with room for Size(p) more bytes is
+// extended without allocating.
+func (c *Ciphertext) AppendMarshal(dst []byte, p Params) []byte {
+	end := len(dst) + c.Size(p)
+	dst = slices.Grow(dst, end-len(dst))
+	dst = binary.LittleEndian.AppendUint32(dst, ciphertextMagic)
+	dst = binary.LittleEndian.AppendUint64(dst, c.keyID)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(c.level))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(c.noise))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.shape)))
 	for _, d := range c.shape {
-		binary.LittleEndian.PutUint32(hdr[:4], uint32(d))
-		buf = append(buf, hdr[:4]...)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(d))
 	}
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(c.data)))
-	buf = append(buf, hdr[:4]...)
-	block := make([]byte, 4*p.Expansion)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.data)))
+	off, blk := len(dst), 4*p.Expansion
+	dst = dst[:end]
 	for i, v := range c.data {
-		ks := keystream(c.keyID, uint64(i), p.Expansion)
-		binary.LittleEndian.PutUint32(block[:4], math.Float32bits(v)^binary.LittleEndian.Uint32(ks[:4]))
-		copy(block[4:], ks[4:])
-		buf = append(buf, block...)
+		// The slot's stream is the splitmix64 chain after its seed, laid
+		// out little-endian: the first word's low half masks the value,
+		// and the remaining 4*Expansion-4 bytes are filler.
+		x := splitmix64(slotSeed(c.keyID, i))
+		b := dst[off : off+blk]
+		binary.LittleEndian.PutUint32(b, math.Float32bits(v)^uint32(x))
+		binary.LittleEndian.PutUint32(b[4:], uint32(x>>32))
+		for j := 8; j < blk; j += 8 {
+			x = splitmix64(x)
+			if j+8 <= blk {
+				binary.LittleEndian.PutUint64(b[j:], x)
+			} else {
+				binary.LittleEndian.PutUint32(b[j:], uint32(x))
+			}
+		}
+		off += blk
 	}
-	return buf
+	return dst
 }
 
 // Unmarshal decodes wire bytes produced by Marshal under the
-// evaluator's parameter set.
+// evaluator's parameter set into a fresh ciphertext.
 func (e *Evaluator) Unmarshal(b []byte) (*Ciphertext, error) {
-	if len(b) < 4+8+4+4+4 || binary.LittleEndian.Uint32(b) != ciphertextMagic {
-		return nil, fmt.Errorf("%w: bad header", ErrCorrupt)
+	var ct Ciphertext
+	if err := e.UnmarshalInto(&ct, b); err != nil {
+		return nil, err
 	}
-	off := 4
-	keyID := binary.LittleEndian.Uint64(b[off:])
-	off += 8
-	level := int(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	noise := int(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	ndims := int(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	if ndims < 1 || ndims > 8 || len(b) < off+4*ndims+4 {
-		return nil, fmt.Errorf("%w: %d dims", ErrCorrupt, ndims)
+	return &ct, nil
+}
+
+// maxDims bounds a wire ciphertext's rank; every tensor the split
+// evaluates has at most three axes.
+const maxDims = 8
+
+// UnmarshalInto decodes wire bytes produced by Marshal under the
+// evaluator's parameter set into ct, reusing its shape and slot
+// capacity: a ct that has held a ciphertext of at least this size
+// decodes without allocating. Only each slot's mask word is read; the
+// filler carries nothing. Every count is checked against len(b) before
+// anything is sized from it, and on error ct is left unchanged.
+func (e *Evaluator) UnmarshalInto(ct *Ciphertext, b []byte) error {
+	const hdr = 4 + 8 + 4 + 4 + 4
+	if len(b) < hdr || binary.LittleEndian.Uint32(b) != ciphertextMagic {
+		return fmt.Errorf("%w: bad header", ErrCorrupt)
 	}
-	shape := make([]int, ndims)
-	for i := range shape {
-		shape[i] = int(binary.LittleEndian.Uint32(b[off:]))
+	keyID := binary.LittleEndian.Uint64(b[4:])
+	level := int(binary.LittleEndian.Uint32(b[12:]))
+	noise := int(binary.LittleEndian.Uint32(b[16:]))
+	ndims := int(binary.LittleEndian.Uint32(b[20:]))
+	off := hdr
+	if ndims < 1 || ndims > maxDims || len(b) < off+4*ndims+4 {
+		return fmt.Errorf("%w: %d dims", ErrCorrupt, ndims)
+	}
+	var dims [maxDims]int
+	for i := range ndims {
+		dims[i] = int(binary.LittleEndian.Uint32(b[off:]))
 		off += 4
 	}
-	n, err := numel(shape)
+	n, err := tensor.Numel(dims[:ndims])
 	if err != nil {
-		return nil, fmt.Errorf("%w: shape %v", ErrCorrupt, shape)
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	slots := int(binary.LittleEndian.Uint32(b[off:]))
 	off += 4
-	if slots != n || len(b) != off+slots*4*e.Params.Expansion {
-		return nil, fmt.Errorf("%w: %d slots, %d bytes", ErrCorrupt, slots, len(b))
+	blk := 4 * e.Params.Expansion
+	if rest := len(b) - off; slots != n || rest%blk != 0 || rest/blk != slots {
+		return fmt.Errorf("%w: %d slots, %d bytes", ErrCorrupt, slots, len(b))
 	}
-	data := make([]float32, slots)
-	for i := range data {
-		ks := keystream(keyID, uint64(i), e.Params.Expansion)
-		bits := binary.LittleEndian.Uint32(b[off:]) ^ binary.LittleEndian.Uint32(ks[:4])
-		data[i] = math.Float32frombits(bits)
-		off += 4 * e.Params.Expansion
+	ct.keyID, ct.level, ct.noise = keyID, level, noise
+	ct.shape = append(ct.shape[:0], dims[:ndims]...)
+	ct.data = slices.Grow(ct.data[:0], slots)[:slots]
+	for i := range ct.data {
+		mask := uint32(splitmix64(slotSeed(keyID, i)))
+		ct.data[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[off:]) ^ mask)
+		off += blk
 	}
-	return &Ciphertext{keyID: keyID, shape: shape, level: level, noise: noise, data: data}, nil
+	return nil
 }
 
-// keystream derives one slot's Expansion×4-byte mask block from the
-// key ID and slot index via splitmix64.
-func keystream(keyID, slot uint64, expansion int) []byte {
-	out := make([]byte, 4*expansion)
-	x := splitmix64(keyID ^ (slot+1)*0x9e3779b97f4a7c15)
-	for i := 0; i < len(out); i += 8 {
-		x = splitmix64(x)
-		var w [8]byte
-		binary.LittleEndian.PutUint64(w[:], x)
-		copy(out[i:], w[:])
-	}
-	return out
+// slotSeed is the splitmix64 state that starts slot i's key stream.
+func slotSeed(keyID uint64, i int) uint64 {
+	return splitmix64(keyID ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
 }
 
 // splitmix64 is the standard 64-bit mixer (public-domain constants).

@@ -13,7 +13,7 @@ import (
 	"repro/internal/tz"
 )
 
-func testEvaluator(t *testing.T, p Params) *Evaluator {
+func testEvaluator(t testing.TB, p Params) *Evaluator {
 	t.Helper()
 	ev, err := NewEvaluator(p, nil, tz.DefaultCostModel())
 	if err != nil {

@@ -80,6 +80,9 @@ type Classifier struct {
 // NewText builds a text classifier of the given architecture over a
 // vocabulary of vocab tokens and sequences padded to seqLen.
 func NewText(arch Arch, rng *rand.Rand, vocab, seqLen int) (*Classifier, error) {
+	if _, err := tensor.Numel([]int{seqLen}); err != nil {
+		return nil, fmt.Errorf("%w: sequence length: %w", ErrBadArch, err)
+	}
 	const d = 16
 	var model *layers.Sequential
 	switch arch {
@@ -137,6 +140,10 @@ func NewImage(rng *rand.Rand, h, w int) (*Classifier, error) {
 	if h < 4 || w < 4 || (h-2)%2 != 0 || (w-2)%2 != 0 {
 		return nil, fmt.Errorf("%w: image %dx%d (need conv+pool-compatible dims)", ErrBadArch, h, w)
 	}
+	// The conv's four feature maps bound every activation the model holds.
+	if _, err := tensor.Numel([]int{h, w, 4}); err != nil {
+		return nil, fmt.Errorf("%w: image %dx%d: %w", ErrBadArch, h, w, err)
+	}
 	flat := (h - 2) / 2 * ((w - 2) / 2) * 4
 	model := layers.NewSequential("imagecnn",
 		layers.NewConv2D(rng, 3, 1, 4),
@@ -163,10 +170,7 @@ func (c *Classifier) InputShape() []int { return append([]int(nil), c.inShape...
 
 // FeatureLen returns the flat feature length of one sample.
 func (c *Classifier) FeatureLen() int {
-	n := 1
-	for _, d := range c.inShape {
-		n *= d
-	}
+	n, _ := tensor.Numel(c.inShape) // NewText and NewImage validated inShape
 	return n
 }
 

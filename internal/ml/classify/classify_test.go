@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/ml/tensor"
 	"repro/internal/ml/train"
 	"repro/internal/peripheral"
 	"repro/internal/sensitive"
@@ -266,5 +267,39 @@ func TestPredictBatchShapeError(t *testing.T) {
 	got, err := clf.PredictBatch(nil)
 	if err != nil || got != nil {
 		t.Errorf("empty batch = %v, %v", got, err)
+	}
+}
+
+// The TA's tail refuses a shape whose product only matches the data by
+// wrapping or by a pair of negative dimensions, and the constructors
+// refuse dimensions no input could have; none of them reaches
+// tensor.New's panic.
+func TestShapeProductsChecked(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 3))
+	clf, err := NewText(ArchCNN, rng, 20, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := SplitText(clf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shape := range [][]int{{-1, -1}, {7, 0x6db6db6db6db6db7}, {1 << 32, 1 << 32}} {
+		data := make([]float32, 1)
+		if shape[0] == 1<<32 {
+			data = nil
+		}
+		if _, err := split.TailPredict(data, shape); !errors.Is(err, ErrBadWeights) || !errors.Is(err, tensor.ErrDims) {
+			t.Errorf("TailPredict(%d values, %v) = %v, want ErrBadWeights and tensor.ErrDims", len(data), shape, err)
+		}
+	}
+	if _, err := NewText(ArchCNN, rng, 20, 0); !errors.Is(err, ErrBadArch) {
+		t.Errorf("NewText(seqLen 0) = %v, want ErrBadArch", err)
+	}
+	if _, err := NewImage(rng, 1<<32, 1<<32); !errors.Is(err, ErrBadArch) {
+		t.Errorf("NewImage(2^32, 2^32) = %v, want ErrBadArch", err)
+	}
+	if n := clf.FeatureLen(); n != 8 {
+		t.Errorf("FeatureLen = %d, want 8", n)
 	}
 }

@@ -121,9 +121,9 @@ func (s *ImageSplit) TailPredict(data []float32, shape []int) (int, error) {
 }
 
 func tailPredict(tail *layers.Sequential, data []float32, shape []int) (int, error) {
-	n := 1
-	for _, d := range shape {
-		n *= d
+	n, err := tensor.Numel(shape)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %w", ErrBadWeights, err)
 	}
 	if n != len(data) {
 		return 0, fmt.Errorf("%w: %d values for shape %v", ErrBadWeights, len(data), shape)

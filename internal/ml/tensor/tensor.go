@@ -17,6 +17,31 @@ import (
 // ErrShape is returned for operations on incompatible shapes.
 var ErrShape = errors.New("tensor: shape mismatch")
 
+// ErrDims is returned for a shape with a non-positive dimension or an
+// element count past math.MaxInt. It wraps ErrShape.
+var ErrDims = fmt.Errorf("%w: invalid dimensions", ErrShape)
+
+// Numel returns the element count of shape, the product of its
+// dimensions; an empty shape is one element. Every shape product in the
+// ML stack and the HE wire decoder goes through it, so a forged or
+// mistyped shape is ErrDims instead of a product that wraps to a small
+// or negative count. The error names the offending axis but not the
+// shape, which keeps shape off the heap for callers that pass a stack
+// array.
+func Numel(shape []int) (int, error) {
+	n := 1
+	for i, d := range shape {
+		if d <= 0 {
+			return 0, fmt.Errorf("%w: dimension %d is %d", ErrDims, i, d)
+		}
+		if n > math.MaxInt/d {
+			return 0, fmt.Errorf("%w: element count overflows at dimension %d", ErrDims, i)
+		}
+		n *= d
+	}
+	return n, nil
+}
+
 // Tensor is a dense row-major float32 array.
 type Tensor struct {
 	Shape []int
@@ -25,21 +50,18 @@ type Tensor struct {
 
 // New allocates a zeroed tensor of the given shape.
 func New(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		if d <= 0 {
-			panic(fmt.Sprintf("tensor: invalid dim %d in %v", d, shape))
-		}
-		n *= d
+	n, err := Numel(shape)
+	if err != nil {
+		panic(err)
 	}
 	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float32, n)}
 }
 
 // FromSlice wraps data (not copied) with the given shape.
 func FromSlice(data []float32, shape ...int) (*Tensor, error) {
-	n := 1
-	for _, d := range shape {
-		n *= d
+	n, err := Numel(shape)
+	if err != nil {
+		return nil, err
 	}
 	if n != len(data) {
 		return nil, fmt.Errorf("%w: %d elements for shape %v", ErrShape, len(data), shape)
@@ -87,9 +109,9 @@ func (t *Tensor) Clone() *Tensor {
 
 // Reshape returns a view with a new shape (same backing data).
 func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
-	n := 1
-	for _, d := range shape {
-		n *= d
+	n, err := Numel(shape)
+	if err != nil {
+		return nil, err
 	}
 	if n != len(t.Data) {
 		return nil, fmt.Errorf("%w: reshape %v -> %v", ErrShape, t.Shape, shape)

@@ -227,3 +227,34 @@ func TestSameShape(t *testing.T) {
 		t.Error("different shapes reported same")
 	}
 }
+
+// A shape whose element count wraps int, or that has a non-positive
+// dimension, is ErrDims — not a tensor whose product happens to match
+// the data length.
+func TestShapeProductChecked(t *testing.T) {
+	cases := []struct {
+		name  string
+		data  []float32
+		shape []int
+	}{
+		{"wraps to zero", nil, []int{1 << 32, 1 << 32}},
+		{"wraps to one", []float32{0}, []int{7, 0x6db6db6db6db6db7}}, // 7·x ≡ 1 mod 2^64
+		{"negative pair", []float32{0}, []int{-1, -1}},
+		{"zero", nil, []int{0}},
+	}
+	for _, c := range cases {
+		if _, err := FromSlice(c.data, c.shape...); !errors.Is(err, ErrDims) || !errors.Is(err, ErrShape) {
+			t.Errorf("%s: FromSlice(%d values, %v) = %v, want ErrDims", c.name, len(c.data), c.shape, err)
+		}
+		x := New(1)
+		if _, err := x.Reshape(c.shape...); !errors.Is(err, ErrDims) {
+			t.Errorf("%s: Reshape(%v) = %v, want ErrDims", c.name, c.shape, err)
+		}
+	}
+	if n, err := Numel([]int{3, 4, 5}); err != nil || n != 60 {
+		t.Errorf("Numel([3 4 5]) = %d, %v", n, err)
+	}
+	if n, err := Numel(nil); err != nil || n != 1 {
+		t.Errorf("Numel(nil) = %d, %v, want the one-element scalar", n, err)
+	}
+}
